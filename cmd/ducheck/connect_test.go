@@ -92,6 +92,78 @@ func TestFollowConnectRetireSkipBad(t *testing.T) {
 	}
 }
 
+// TestFollowConnectParity: on the same input, -follow and -follow
+// -connect print the same echo, verdict and summary lines and exit the
+// same way. The wire adds only protocol lines: OK, DONE and ERR, and the
+// BAD notes and QUARANTINED ledger that ducheck writes to stderr.
+func TestFollowConnectParity(t *testing.T) {
+	addr := startCertdStreams(t)
+	clean := "write 1 X 1\ncommit 1\nread 2 X 1\ncommit 2\n"
+	violation := "inv write 1 X 5\nres write 1 X 5 ok\nread 2 X 5\ncommit 2\ncommit 1\n"
+	bad := "write 1 X 1\nnot an event\ncommit 1\nres read 9 X 1\n" + strings.Repeat("x", 100_000) + "\nread 2 X 1\ncommit 2\n"
+	var long strings.Builder
+	for i := 1; i <= 30; i++ {
+		fmt.Fprintf(&long, "write %d X %d\ncommit %d\n", i, i%4, i)
+	}
+	var manyBad strings.Builder
+	for i := 1; i <= 12; i++ {
+		fmt.Fprintf(&manyBad, "garbage %d\n", i)
+	}
+	for _, c := range []struct {
+		name, in string
+		args     []string
+	}{
+		{"clean", clean, []string{"-criteria", "du,opacity"}},
+		{"violation", violation, []string{"-criteria", "du,tms2,rco"}},
+		{"bad-default", bad, []string{"-criteria", "du"}},
+		{"bad-skip", bad, []string{"-criteria", "du", "-skip-bad"}},
+		{"bad-skip-ledger-full", manyBad.String() + clean, []string{"-criteria", "du", "-skip-bad"}},
+		{"bad-strict", bad, []string{"-criteria", "du", "-strict"}},
+		{"retire", long.String(), []string{"-criteria", "du,tms2", "-retire", "4"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut, wire, wireErr bytes.Buffer
+			code, err := runWith(append([]string{"-follow"}, c.args...), strings.NewReader(c.in), &out, &errOut)
+			wireCode, wireRunErr := runWith(append([]string{"-follow", "-connect", addr}, c.args...), strings.NewReader(c.in), &wire, &wireErr)
+			if code != wireCode || fmt.Sprint(err) != strings.TrimPrefix(fmt.Sprint(wireRunErr), "-connect: ") {
+				t.Fatalf("local exit %d (%v), -connect exit %d (%v)", code, err, wireCode, wireRunErr)
+			}
+			follows, notes := splitWire(t, wire.String())
+			if follows != out.String() {
+				t.Errorf("stdout differs\nlocal:\n%.2000s\n-connect, protocol lines removed:\n%.2000s", out.String(), follows)
+			}
+			if notes != errOut.String() {
+				t.Errorf("bad-input notes differ\nlocal stderr:\n%.2000s\n-connect:\n%.2000s", errOut.String(), notes)
+			}
+		})
+	}
+}
+
+// splitWire separates a -connect transcript into the lines local
+// -follow prints on stdout and, rewritten as ducheck's stderr notes, the
+// wire's BAD and QUARANTINED lines; OK, DONE and ERR are dropped.
+func splitWire(t *testing.T, wire string) (follows, notes string) {
+	t.Helper()
+	var f, n strings.Builder
+	for i, line := range strings.SplitAfter(wire, "\n") {
+		switch {
+		case line == "":
+		case i == 0 && strings.HasPrefix(line, "OK "):
+		case strings.HasPrefix(line, "DONE "), strings.HasPrefix(line, "ERR "):
+		case strings.HasPrefix(line, "BAD "):
+			no, reason, _ := strings.Cut(strings.TrimSuffix(line[len("BAD "):], "\n"), " ")
+			fmt.Fprintf(&n, "ducheck: line %s: %s (skipped)\n", no, reason)
+		case strings.HasPrefix(line, "QUARANTINED "):
+			n.WriteString("ducheck: quarantined " + line[len("QUARANTINED "):])
+		case strings.HasPrefix(line, "  line "), strings.HasPrefix(line, "  ... and "):
+			n.WriteString(line) // a quarantine ledger entry; echo lines start with a number
+		default:
+			f.WriteString(line)
+		}
+	}
+	return f.String(), n.String()
+}
+
 // TestConnectRequiresFollow: -connect outside -follow is an input error.
 func TestConnectRequiresFollow(t *testing.T) {
 	var out, errOut bytes.Buffer

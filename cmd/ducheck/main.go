@@ -17,28 +17,24 @@
 // serialization search across workers — the right knob when one large
 // history dominates.
 //
-// -follow monitors a history as it is produced: events are read from
-// stdin line by line (same text format) and fed to an online monitor per
-// requested criterion, printing a verdict column after every response
-// event — so a violation is reported at the exact event that caused it,
-// while the producer is still running. Only the monitorable criteria
-// (see spec.MonitorableCriteria: du, tms2, rco, opacity, finalstate —
-// tms2 and rco maintain their conflict-order edge sets incrementally)
-// are allowed with -follow; the serializability baselines stay
-// batch-only. Malformed lines are reported on stderr and skipped; the
-// monitors are unaffected.
-// -skip-bad quarantines bad input instead: each offender is counted
-// (not noted line by line), a structured report lists the first ten on
-// stderr at the end, and the summary gains a "follow: events=N bad=M"
-// line. -strict is the opposite policy: the first bad line aborts the
-// follow with exit status 2.
+// -follow monitors a history as it is produced: stdin lines (same text
+// format) feed an online monitor per requested criterion, and a verdict
+// column is printed after every response event, so a violation is
+// reported at the event that caused it while the producer still runs.
+// Only the monitorable criteria (spec.MonitorableCriteria: du, tms2, rco,
+// opacity, finalstate) are allowed; the serializability baselines stay
+// batch-only. A bad line — malformed, or an event the monitors reject —
+// is noted on stderr and skipped, leaving the monitors untouched.
+// -skip-bad quarantines bad lines instead: they are counted, the first
+// ten are reported on stderr at the end, and the summary gains a
+// "follow: events=N bad=M" line. -strict aborts at the first bad line
+// with exit status 2, as a line longer than 1 MiB always does.
 // -retire N bounds the monitors' memory on unbounded streams: settled
 // committed transactions are checkpointed and discarded once more than N
 // are live, without changing any verdict.
-// -connect host:port ships the stream to a certd server instead of
-// monitoring in-process: stdin lines are forwarded verbatim, the
-// server's per-event verdicts and final summary stream back, and the
-// criteria/retire/skip-bad/strict policies travel in the stream hello.
+// -connect host:port runs the same follow session in a certd server:
+// stdin is forwarded verbatim, the server's echoes and summary stream
+// back, and the options travel in the stream hello.
 //
 // -explore changes the input from histories to *plans* (one thread per
 // line, '|' between a thread's transactions, "r<obj>"/"w<obj>"
@@ -70,6 +66,7 @@ import (
 	"strings"
 
 	"duopacity/internal/checkfarm"
+	"duopacity/internal/follow"
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
@@ -103,7 +100,7 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	jobs := fs.Int("jobs", 0, "worker count for -parallel (0 = GOMAXPROCS)")
 	portfolio := fs.Int("portfolio", 0,
 		"fan each check's top-level search branches across this many workers (spec.WithParallelism; useful for one hard history, combine with -parallel for many)")
-	follow := fs.Bool("follow", false,
+	followMode := fs.Bool("follow", false,
 		"monitor events from stdin as they arrive (streaming ingestion; criteria limited to "+spec.MonitorableNames()+")")
 	retire := fs.Int("retire", 0,
 		"with -follow: retire settled committed transactions once this many are live, bounding monitor memory on long streams (0 = keep everything)")
@@ -121,7 +118,7 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
-	if !*follow && fs.NArg() < 1 {
+	if !*followMode && fs.NArg() < 1 {
 		return 2, fmt.Errorf("usage: ducheck [flags] <file|->...")
 	}
 
@@ -137,7 +134,7 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	if *skipBad && *strict {
 		return 2, fmt.Errorf("-skip-bad and -strict are mutually exclusive")
 	}
-	if *follow {
+	if *followMode {
 		if fs.NArg() > 1 || (fs.NArg() == 1 && fs.Arg(0) != "-") {
 			return 2, fmt.Errorf("-follow reads events from stdin; no file arguments allowed")
 		}
@@ -146,10 +143,11 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 		if !flagWasSet(fs, "criteria") {
 			criteria = []spec.Criterion{spec.DUOpacity, spec.Opacity, spec.FinalStateOpacity}
 		}
+		cfg := follow.Config{Criteria: criteria, Retire: *retire, NodeLimit: *nodeLimit, SkipBad: *skipBad, Strict: *strict}
 		if *connect != "" {
-			return runFollowConnect(*connect, criteria, *nodeLimit, *retire, *skipBad, *strict, stdin, stdout)
+			return runFollowConnect(*connect, follow.Hello{Config: cfg}, stdin, stdout)
 		}
-		return runFollow(criteria, *nodeLimit, *retire, *skipBad, *strict, stdin, stdout, stderr)
+		return runFollow(cfg, stdin, stdout, stderr)
 	}
 	if *connect != "" {
 		return 2, fmt.Errorf("-connect only applies to -follow")
@@ -322,195 +320,55 @@ func runExplore(engine string, criteria []spec.Criterion, paths []string, stdinS
 	return 0, nil
 }
 
-// runFollow is the streaming mode: events arrive on stdin one line at a
-// time and are certified the moment they land, one online monitor per
-// criterion. After every response event a status column is printed per
-// criterion (ok, VIOLATED or undecided); a violation is latched (prefix
-// closure), so the exit status reflects whether any monitor ever
-// rejected. Malformed lines are reported on stderr and skipped; the
-// monitors are left untouched by them.
-//
-// retire > 0 enables windowed retirement: each monitor checkpoints its
-// settled committed prefix and discards the retired transactions, so a
-// long-running producer is followed in memory proportional to the live
-// window rather than the whole stream.
-//
-// Bad input — a line histio.ParseEvents cannot parse, or an event every
-// monitor would reject as ill-formed — follows one of three policies:
-// the default notes each occurrence on stderr and skips it (the monitors
-// are untouched either way); skipBad quarantines silently, counts, and
-// reports a structured summary on stderr at the end plus a bad=N column
-// on the summary line; strict fails fast with exit status 2.
-func runFollow(criteria []spec.Criterion, nodeLimit, retire int, skipBad, strict bool, stdin io.Reader, stdout, stderr io.Writer) (int, error) {
-	monitors := make([]*spec.Monitor, len(criteria))
-	for i, c := range criteria {
-		opts := []spec.Option{spec.WithNodeLimit(nodeLimit)}
-		if retire > 0 {
-			opts = append(opts, spec.WithRetirement(retire))
-		}
-		m, err := spec.NewMonitor(c, opts...)
-		if err != nil {
-			return 2, fmt.Errorf("-follow: %w", err)
-		}
-		monitors[i] = m
+// runFollow is the streaming mode: stdin lines feed a follow.Session,
+// which echoes every event with its verdict columns to stdout and applies
+// cfg's bad-input policy. The per-line notes and the quarantine report
+// go to stderr. Violations latch, so the exit status is 1 when any
+// monitor ever rejected; a strict failure or a read error exits 2.
+func runFollow(cfg follow.Config, stdin io.Reader, stdout, stderr io.Writer) (int, error) {
+	sess, err := follow.New(cfg, stdout, func(no int, err error) {
+		fmt.Fprintf(stderr, "ducheck: line %d: %v (skipped)\n", no, err)
+	})
+	if err != nil {
+		return 2, fmt.Errorf("-follow: %w", err)
 	}
-	// The quarantine ledger of -skip-bad: everything is counted, the first
-	// maxBadDetail offenders keep their line and reason for the report.
-	const maxBadDetail = 10
-	type badInput struct {
-		line int
-		text string
-		err  error
-	}
-	badCount := 0
-	var badDetail []badInput
-	var strictErr error
-	// noteBad applies the active policy; it reports whether to stop.
-	noteBad := func(lineNo int, text string, err error) bool {
-		switch {
-		case strict:
-			strictErr = fmt.Errorf("line %d: %w", lineNo, err)
-			return true
-		case skipBad:
-			badCount++
-			if len(badDetail) < maxBadDetail {
-				badDetail = append(badDetail, badInput{line: lineNo, text: text, err: err})
-			}
-		default:
-			fmt.Fprintf(stderr, "ducheck: line %d: %v (skipped)\n", lineNo, err)
-		}
-		return false
-	}
-	sc := bufio.NewScanner(stdin)
+	sc := follow.NewScanner(stdin)
 	lineNo := 0
-	idx := 0
-scan:
 	for sc.Scan() {
 		lineNo++
-		evs, err := histio.ParseEvents(sc.Text())
-		if err != nil {
-			if noteBad(lineNo, sc.Text(), err) {
-				break
-			}
-			continue
+		if _, err := sess.Line(lineNo, sc.Text()); err != nil {
+			return 2, err
 		}
-		for _, e := range evs {
-			// Well-formedness is criterion-independent, so either every
-			// monitor accepts the event or the first rejects it with the
-			// others untouched; rejection is side-effect-free either way.
-			var verdicts []spec.Verdict
-			rejected := false
-			for _, m := range monitors {
-				v, err := m.Append(e)
-				if err != nil {
-					rejected = true
-					if noteBad(lineNo, sc.Text(), err) {
-						break scan
-					}
-					break
-				}
-				verdicts = append(verdicts, v)
-			}
-			if rejected {
-				break
-			}
-			fmt.Fprintf(stdout, "%4d  %-28v", idx, e)
-			if e.Kind == history.Res {
-				for i, v := range verdicts {
-					status := "ok"
-					switch {
-					case v.Undecided:
-						status = "undecided"
-					case !v.OK:
-						status = "VIOLATED"
-					}
-					fmt.Fprintf(stdout, "  %s:%s", criteria[i], status)
-				}
-			}
-			fmt.Fprintln(stdout)
-			idx++
-		}
-	}
-	if strictErr != nil {
-		return 2, strictErr
 	}
 	if err := sc.Err(); err != nil {
-		return 2, err
+		return 2, follow.LineError(lineNo+1, err)
 	}
-	if skipBad {
-		// The structured quarantine report: total plus the first offenders
-		// with their raw line and rejection reason.
-		if badCount > 0 {
-			fmt.Fprintf(stderr, "ducheck: quarantined %d bad input line(s):\n", badCount)
-			for _, b := range badDetail {
-				fmt.Fprintf(stderr, "  line %d: %v: %q\n", b.line, b.err, b.text)
-			}
-			if badCount > len(badDetail) {
-				fmt.Fprintf(stderr, "  ... and %d more\n", badCount-len(badDetail))
-			}
-		}
-		fmt.Fprintf(stdout, "follow: events=%d bad=%d\n", idx, badCount)
-	}
-	violations := 0
-	for i, m := range monitors {
-		v := m.Verdict()
-		fmt.Fprintln(stdout, v)
-		if retire > 0 {
-			fmt.Fprintf(stdout, "%v: %d events, %d transactions retired, %d live\n",
-				criteria[i], m.Len(), m.Retired(), m.LiveTxns())
-		}
-		if !v.OK && !v.Undecided {
-			violations++
-		}
-	}
-	if violations > 0 {
+	sess.Quarantine(stderr, "ducheck: quarantined ")
+	if sess.Summary(stdout).Violations > 0 {
 		return 1, nil
 	}
 	return 0, nil
 }
 
-// runFollowConnect is -follow -connect: instead of monitoring in
-// process, raw stdin lines are forwarded to a certd stream endpoint and
-// the server's responses — per-event verdict lines, the final verdicts,
-// the DONE summary — are printed as they arrive. The server enforces the
-// same criteria/retire/skip-bad/strict policies runFollow enforces
-// locally (they travel in the STREAM hello), and the exit status maps
-// the same way: 1 when the final verdicts carry violations, 2 on
-// protocol or strict failures.
-func runFollowConnect(addr string, criteria []spec.Criterion, nodeLimit, retire int, skipBad, strict bool, stdin io.Reader, stdout io.Writer) (int, error) {
-	names := make([]string, len(criteria))
-	for i, c := range criteria {
-		name, ok := spec.CriterionAlias(c)
-		if !ok {
-			return 2, fmt.Errorf("-connect: criterion %v has no wire name", c)
-		}
-		names[i] = name
-	}
-	hello := "STREAM " + strings.Join(names, ",")
-	if retire > 0 {
-		hello += fmt.Sprintf(" retire=%d", retire)
-	}
-	if nodeLimit > 0 {
-		hello += fmt.Sprintf(" nodelimit=%d", nodeLimit)
-	}
-	if skipBad {
-		hello += " skipbad"
-	}
-	if strict {
-		hello += " strict"
-	}
-
+// runFollowConnect is -follow -connect: stdin is forwarded to a certd
+// stream endpoint, whose follow.Session is configured by the hello, and
+// the server's lines are printed as they arrive. The exit status maps as
+// runFollow's does: 1 when DONE counts violations, 2 on protocol,
+// strict or read failures.
+func runFollowConnect(addr string, hello follow.Hello, stdin io.Reader, stdout io.Writer) (int, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return 2, fmt.Errorf("-connect: %w", err)
 	}
 	defer conn.Close()
-	w := bufio.NewWriter(conn)
-	fmt.Fprintln(w, hello)
-	if err := w.Flush(); err != nil {
+	if _, err := fmt.Fprintln(conn, hello); err != nil {
 		return 2, fmt.Errorf("-connect: %w", err)
 	}
+	// Server lines are not bounded by follow.MaxLineBytes: a BAD note or
+	// a quarantine entry quotes a whole input line, and a witness grows
+	// with the stream.
 	r := bufio.NewScanner(conn)
+	r.Buffer(nil, math.MaxInt)
 	if !r.Scan() {
 		return 2, fmt.Errorf("-connect: no hello response: %v", r.Err())
 	}
@@ -518,32 +376,27 @@ func runFollowConnect(addr string, criteria []spec.Criterion, nodeLimit, retire 
 		return 2, fmt.Errorf("-connect: %s", strings.TrimPrefix(resp, "ERR "))
 	}
 
-	// Forward stdin verbatim on its own goroutine (the server echoes
-	// while we send), then END + half-close so the server finalizes.
+	// Forward stdin verbatim while the server echoes: it splits, numbers
+	// and bounds the lines as runFollow does. A newline ends an
+	// unterminated last line (a blank line is no input), then END and a
+	// half-close let the server finalize.
 	go func() {
-		sc := bufio.NewScanner(stdin)
-		for sc.Scan() {
-			fmt.Fprintln(w, sc.Text())
-		}
-		fmt.Fprintln(w, "END")
-		_ = w.Flush()
+		_, _ = io.Copy(conn, stdin)
+		_, _ = io.WriteString(conn, "\nEND\n")
 		if hc, ok := conn.(interface{ CloseWrite() error }); ok {
 			_ = hc.CloseWrite()
 		}
 	}()
 
-	exit := 0
-	sawDone := false
 	for r.Scan() {
 		line := r.Text()
 		fmt.Fprintln(stdout, line)
 		switch {
 		case strings.HasPrefix(line, "DONE "):
-			sawDone = true
-			var ev, bad, dropped, viol int
-			if _, err := fmt.Sscanf(line, "DONE events=%d bad=%d dropped=%d violations=%d", &ev, &bad, &dropped, &viol); err == nil && viol > 0 {
-				exit = 1
+			if d, err := follow.ParseDone(line); err == nil && d.Violations > 0 {
+				return 1, nil
 			}
+			return 0, nil
 		case strings.HasPrefix(line, "ERR "):
 			return 2, fmt.Errorf("-connect: %s", strings.TrimPrefix(line, "ERR "))
 		}
@@ -551,10 +404,7 @@ func runFollowConnect(addr string, criteria []spec.Criterion, nodeLimit, retire 
 	if err := r.Err(); err != nil {
 		return 2, fmt.Errorf("-connect: %w", err)
 	}
-	if !sawDone {
-		return 2, fmt.Errorf("-connect: stream ended without DONE")
-	}
-	return exit, nil
+	return 2, fmt.Errorf("-connect: stream ended without DONE")
 }
 
 // flagWasSet reports whether the named flag was given explicitly on the

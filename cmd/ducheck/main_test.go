@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"duopacity/internal/follow"
 )
 
 func TestRunAcceptsGoodHistory(t *testing.T) {
@@ -520,5 +522,28 @@ func TestSkipBadStrictFlagValidation(t *testing.T) {
 		if err == nil || code != 2 {
 			t.Errorf("args %v: code=%d err=%v, want usage error", args, code, err)
 		}
+	}
+}
+
+// TestFollowLineBound: ducheck reads stdin with follow.MaxLineBytes, the
+// bound certd's stream reader uses. A 100KB garbage line is bad input
+// like any other, quarantined under -skip-bad; a line past the bound
+// fails the follow with an error naming the line.
+func TestFollowLineBound(t *testing.T) {
+	src := "write 1 X 1\n" + strings.Repeat("x", 100_000) + "\ncommit 1\n"
+	var out, errOut strings.Builder
+	code, err := runWith([]string{"-follow", "-skip-bad", "-criteria", "du"}, strings.NewReader(src), &out, &errOut)
+	if err != nil || code != 0 {
+		t.Fatalf("100KB bad line: code=%d err=%v", code, err)
+	}
+	if !strings.Contains(out.String(), "follow: events=4 bad=1") || !strings.Contains(errOut.String(), "quarantined 1 bad input line(s)") {
+		t.Fatalf("100KB bad line not quarantined:\n%s\n%.300s", out.String(), errOut.String())
+	}
+
+	src = "write 1 X 1\n" + strings.Repeat("x", follow.MaxLineBytes+1) + "\ncommit 1\n"
+	out.Reset()
+	code, err = runWith([]string{"-follow", "-skip-bad", "-criteria", "du"}, strings.NewReader(src), &out, &errOut)
+	if code != 2 || err == nil || !strings.HasPrefix(err.Error(), "line 2: ") {
+		t.Fatalf("over-bound line: code=%d err=%v, want exit 2 naming line 2", code, err)
 	}
 }

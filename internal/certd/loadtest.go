@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"duopacity/internal/follow"
+	"duopacity/internal/spec"
 )
 
 // LoadTestConfig parameterizes the streaming load harness: Streams
@@ -109,7 +112,8 @@ func runLoadStream(ctx context.Context, cfg LoadTestConfig, conn int) (events, v
 	}
 	w := bufio.NewWriter(c)
 	r := bufio.NewScanner(c)
-	fmt.Fprintf(w, "STREAM du retire=%d quiet\n", cfg.Retire)
+	hello := follow.Hello{Config: follow.Config{Criteria: []spec.Criterion{spec.DUOpacity}, Retire: cfg.Retire}, Quiet: true}
+	fmt.Fprintln(w, hello)
 	if err := w.Flush(); err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -133,25 +137,11 @@ func runLoadStream(ctx context.Context, cfg LoadTestConfig, conn int) (events, v
 		if !strings.HasPrefix(line, "DONE ") {
 			continue // final verdict lines
 		}
-		for _, f := range strings.Fields(line[len("DONE "):]) {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				continue
-			}
-			var n int64
-			fmt.Sscanf(v, "%d", &n)
-			switch k {
-			case "events":
-				events = n
-			case "violations":
-				violations = n
-			case "bad":
-				bad = n
-			case "dropped":
-				dropped = n
-			}
+		d, err := follow.ParseDone(line)
+		if err != nil {
+			return 0, 0, 0, 0, fmt.Errorf("unparsable %q: %w", line, err)
 		}
-		return events, violations, bad, dropped, nil
+		return int64(d.Events), int64(d.Violations), int64(d.Bad), int64(d.Dropped), nil
 	}
 	return 0, 0, 0, 0, fmt.Errorf("stream ended without DONE: %v", r.Err())
 }

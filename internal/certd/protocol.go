@@ -28,7 +28,7 @@
 //
 // # Stream protocol (line-oriented TCP)
 //
-// The client opens with a hello line:
+// The client opens with a hello line (follow.Hello):
 //
 //	STREAM <criteria-csv> [retire=N] [nodelimit=N] [skipbad|strict] [lossy] [quiet]
 //
@@ -38,10 +38,11 @@
 // client then sends histio event lines; the server answers each accepted
 // event with the `ducheck -follow` rendering (suppressed by quiet), each
 // rejected line with "BAD <line> <reason>" (silent under skipbad; fatal
-// "ERR line <n>: <reason>" under strict). "END" or EOF finishes the
-// stream: the server emits the final per-criterion verdict lines, the
-// retirement summary when retire is set, the skipbad ledger when skipbad
-// is set, and a terminal
+// "ERR line <n>: <reason>" under strict). A line longer than
+// follow.MaxLineBytes fails the stream with "ERR read: line <n>: ...".
+// "END" or EOF finishes the stream: the server emits the skipbad ledger
+// when skipbad is set, the final per-criterion verdict lines, the
+// retirement summary when retire is set, and a terminal (follow.Done)
 //
 //	DONE events=<n> bad=<n> dropped=<n> violations=<n>
 //

@@ -32,8 +32,9 @@ type Config struct {
 	// lines). A full queue stalls the reader (default) or drops (lossy
 	// streams) — never grows.
 	StreamQueue int
-	// SlowAppend artificially delays every monitor append — a test knob
-	// for making backpressure observable deterministically.
+	// SlowAppend artificially delays every input line before the stream
+	// session appends its events — a test knob for making backpressure
+	// observable deterministically.
 	SlowAppend time.Duration
 	// Clock overrides time.Now for lease bookkeeping — a test knob for
 	// deterministic expiry.

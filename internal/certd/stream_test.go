@@ -2,12 +2,15 @@ package certd
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"duopacity/internal/follow"
 )
 
 // startStreams spins a stream listener for s on a loopback port.
@@ -300,6 +303,116 @@ func TestStreamReadErrorFailsStream(t *testing.T) {
 	}
 }
 
+// TestStreamLineBound: the stream reader's line bound is
+// follow.MaxLineBytes, the one ducheck -follow reads stdin with. A 100KB
+// garbage line is ordinary bad input, quarantined under skipbad; a line
+// one byte past the bound fails the stream, skipbad or not, with an
+// error naming its line.
+func TestStreamLineBound(t *testing.T) {
+	big := strings.Repeat("x", 100_000)
+	t.Run("quarantined", func(t *testing.T) {
+		s := NewServer(Config{})
+		sc := dialStream(t, startStreams(t, s), "STREAM du quiet skipbad")
+		sc.r.Buffer(nil, 4*follow.MaxLineBytes) // the ledger quotes the line
+		sc.send(t, "write 1 X 1", big, "commit 1", "END")
+		lines := sc.collect(t)
+		if err := sc.r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.Join(lines, "\n")
+		for _, want := range []string{"QUARANTINED 1 bad input line(s):", "  line 2: ", "follow: events=4 bad=1"} {
+			if !strings.Contains(joined, want) {
+				t.Fatalf("missing %q in %.300q", want, joined)
+			}
+		}
+		if done := lastPrefixed(lines, "DONE "); done != "DONE events=4 bad=1 dropped=0 violations=0" {
+			t.Fatalf("DONE wrong: %q", done)
+		}
+	})
+	t.Run("over the bound", func(t *testing.T) {
+		s := NewServer(Config{})
+		srv, cli := net.Pipe()
+		defer cli.Close()
+		_ = cli.SetDeadline(time.Now().Add(30 * time.Second))
+		handlerDone := make(chan struct{})
+		go func() {
+			s.handleStream(srv)
+			close(handlerDone)
+		}()
+		go func() {
+			w := bufio.NewWriter(cli)
+			fmt.Fprintln(w, "STREAM du quiet skipbad")
+			fmt.Fprintln(w, "write 1 X 1")
+			fmt.Fprint(w, strings.Repeat("x", follow.MaxLineBytes+1))
+			_ = w.Flush() // errors once the server gives up — fine
+		}()
+		r := bufio.NewScanner(cli)
+		var lines []string
+		for r.Scan() {
+			lines = append(lines, r.Text())
+		}
+		<-handlerDone
+		if got := lastPrefixed(lines, "ERR "); !strings.HasPrefix(got, "ERR read: line 2: ") {
+			t.Fatalf("over-bound line not failed naming line 2: %q", lines)
+		}
+	})
+}
+
+// TestServeStreamsThenDrain: Drain after ServeStreams has passed its
+// draining check closes the listener and lets ServeStreams return, and a
+// ServeStreams after the drain is refused. The flag must be read and
+// written under one lock: the test waits for the check without ordering
+// anything in the race detector's model, so under -race an unguarded
+// read in ServeStreams is reported against Drain's write.
+func TestServeStreamsThenDrain(t *testing.T) {
+	s := NewServer(Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.ServeStreams(ln) }()
+	// Past its check, ServeStreams blocks in Accept. Reading goroutine
+	// stacks creates no happens-before edge, unlike a served hello, whose
+	// socket I/O would order the check before Drain.
+	deadline := time.Now().Add(10 * time.Second)
+	for !goroutineBlockedIn("(*Server).ServeStreams", "Accept") {
+		if time.Now().After(deadline) {
+			t.Fatal("ServeStreams never reached Accept")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeStreams after drain: %v", err)
+	}
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ServeStreams(ln2); err == nil || !strings.Contains(err.Error(), "draining") {
+		t.Fatalf("ServeStreams on a drained server: %v", err)
+	}
+}
+
+// goroutineBlockedIn reports whether some goroutine's stack contains
+// both fn and callee.
+func goroutineBlockedIn(fn, callee string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, fn) && strings.Contains(g, callee) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestStreamDeadClientReleasesReader: a blocking (non-lossy) client that
 // sends a burst and vanishes without reading must not leak the stream's
 // reader goroutine — the consumer's exit unblocks a stalled queue send.
@@ -331,11 +444,14 @@ func TestStreamDeadClientReleasesReader(t *testing.T) {
 	_ = w.Flush() // the server may already have given up on us; errors are fine
 	_ = c.Close() // vanish without ever reading the echoes
 
+	// Wait for this stream's own exit: before may count goroutines of
+	// earlier tests that were still exiting, so the goroutine count alone
+	// can reach it while this stream is still open.
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for runtime.NumGoroutine() > before || s.Metrics.StreamsOpen.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("stream goroutines leaked after dead client: %d before, %d now",
-				before, runtime.NumGoroutine())
+			t.Fatalf("stream goroutines leaked after dead client: %d before, %d now, StreamsOpen = %d",
+				before, runtime.NumGoroutine(), s.Metrics.StreamsOpen.Load())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

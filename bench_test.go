@@ -19,6 +19,7 @@ import (
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/gen"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/koenig"
 	"duopacity/internal/litmus"
@@ -389,6 +390,9 @@ func BenchmarkEngineTxnAllocs(b *testing.B) {
 // allocations. A regression to map read sets, per-Begin descriptor
 // allocation or sort.Ints in commit fails this immediately.
 func TestReadOnlyTxnZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items; allocation counts are meaningless under -race")
+	}
 	for _, name := range []string{"tl2", "norec", "pdur"} {
 		eng, err := engines.New(name, 16)
 		if err != nil {
@@ -521,9 +525,9 @@ func BenchmarkCheckfarmCertify(b *testing.B) {
 // BenchmarkCheckfarmCheckBatch measures batch history checking (the
 // ducheck -parallel path) across worker counts.
 func BenchmarkCheckfarmCheckBatch(b *testing.B) {
-	hs := make([]*history.History, 24)
+	hs := make([]histio.Text, 24)
 	for i := range hs {
-		hs[i] = gen.DUOpaque(gen.Config{Txns: 8, Objects: 3, OpsPerTxn: 3, Relax: 5, Seed: int64(40 + i)})
+		hs[i].History = gen.DUOpaque(gen.Config{Txns: 8, Objects: 3, OpsPerTxn: 3, Relax: 5, Seed: int64(40 + i)})
 	}
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
 	for _, jobs := range []int{1, 4} {
@@ -531,7 +535,7 @@ func BenchmarkCheckfarmCheckBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := checkfarm.CheckBatch(context.Background(), hs, criteria, jobs); err != nil {
+				if _, err := checkfarm.CheckBatch(context.Background(), checkfarm.CheckJob{Histories: hs, Criteria: criteria}, jobs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1011,7 +1015,7 @@ func BenchmarkExplorePlan(b *testing.B) {
 		b.Run(tc.name+"/pruned", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := harness.ExplorePlan(tc.engine, p, harness.ExploreConfig{})
+				r, err := harness.ExplorePlan(context.Background(), tc.engine, p, harness.ExploreConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1024,7 +1028,7 @@ func BenchmarkExplorePlan(b *testing.B) {
 			b.ReportAllocs()
 			cfg := harness.ExploreConfig{DisableSleepSets: true, DisableSymmetry: true, DisablePrefixCut: true}
 			for i := 0; i < b.N; i++ {
-				r, err := harness.ExplorePlan(tc.engine, p, cfg)
+				r, err := harness.ExplorePlan(context.Background(), tc.engine, p, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -200,13 +200,13 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 			StopAtFirstViolation: true,
 		}, exploreJobs, stdout)
 	}
-	hs := make([]*history.History, len(paths))
+	hs := make([]histio.Text, len(paths))
 	for i, path := range paths {
 		h, err := parseFile(path, stdinSrc)
 		if err != nil {
 			return 2, err
 		}
-		hs[i] = h
+		hs[i] = histio.Text{History: h}
 	}
 
 	// Sequential mode is the farm at one worker: one code path to keep
@@ -215,17 +215,16 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	if *parallel {
 		seqJobs = *jobs
 	}
-	opts := []spec.Option{spec.WithNodeLimit(*nodeLimit)}
-	if *portfolio > 1 {
-		opts = append(opts, spec.WithParallelism(*portfolio))
-	}
-	verdicts, err := checkfarm.CheckBatch(context.Background(), hs, criteria, seqJobs, opts...)
+	verdicts, err := checkfarm.CheckBatch(context.Background(), checkfarm.CheckJob{
+		Histories: hs, Criteria: criteria, NodeLimit: *nodeLimit, Portfolio: *portfolio,
+	}, seqJobs)
 	if err != nil {
 		return 2, err
 	}
 
 	violations := 0
-	for i, h := range hs {
+	for i, text := range hs {
+		h := text.History
 		if len(paths) > 1 {
 			fmt.Fprintf(stdout, "== %s ==\n", paths[i])
 		}
@@ -310,7 +309,7 @@ func runExplore(engine string, criteria []spec.Criterion, paths []string, stdinS
 			if r.Violation != nil {
 				fmt.Fprintf(stdout, "violation latched at event %d, schedule %v: %s\n",
 					r.Violation.At, r.Violation.Schedule, r.Violation.Verdict.Reason)
-				fmt.Fprint(stdout, histio.FormatString(r.Violation.History))
+				fmt.Fprint(stdout, histio.FormatString(r.Violation.History.History))
 			}
 		}
 	}

@@ -60,6 +60,7 @@ import (
 	"duopacity/internal/chaos"
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
@@ -307,7 +308,9 @@ func runChaos(args []string, stdout io.Writer) error {
 // verdict's "degraded: " reason, which is split back out for the soak's
 // accounting.
 func farmViaCheckBatch(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
-	vs, err := checkfarm.CheckBatch(ctx, []*history.History{h}, []spec.Criterion{c}, 1, spec.WithNodeLimit(nodeLimit))
+	vs, err := checkfarm.CheckBatch(ctx, checkfarm.CheckJob{
+		Histories: []histio.Text{{History: h}}, Criteria: []spec.Criterion{c}, NodeLimit: nodeLimit,
+	}, 1)
 	if err != nil {
 		return spec.Verdict{}, "", err
 	}

@@ -38,6 +38,7 @@
 package duopacity
 
 import (
+	"context"
 	"io"
 
 	"duopacity/internal/harness"
@@ -255,9 +256,10 @@ func RunMonitored(w Workload, c Criterion, nodeLimit int, interleaved bool) (Onl
 // abort-backoff discipline, the space the interleaved sampler draws from
 // — and certifies each online: the per-plan answer is a proof (no
 // schedule of that space violates the criterion), a refutation pinned at
-// the causing schedule and event, or budget exhaustion.
-func ExplorePlan(engine string, p Plan, cfg ExploreConfig) (ExploreReport, error) {
-	return harness.ExplorePlan(engine, p, cfg)
+// the causing schedule and event, or budget exhaustion. Cancelling ctx
+// ends the exploration early as an undecided (budget-exhausted) report.
+func ExplorePlan(ctx context.Context, engine string, p Plan, cfg ExploreConfig) (ExploreReport, error) {
+	return harness.ExplorePlan(ctx, engine, p, cfg)
 }
 
 // ParsePlan reads a plan from its text form: one line per thread, '|'

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 
 	var reports []duopacity.ExploreReport
 	for _, engine := range []string{"tl2", "norec", "gl", "ple"} {
-		r, err := duopacity.ExplorePlan(engine, plan, duopacity.ExploreConfig{})
+		r, err := duopacity.ExplorePlan(context.Background(), engine, plan, duopacity.ExploreConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func main() {
 			fmt.Printf("%s: REFUTED — schedule %v latches a violation at event %d:\n  %s\n",
 				r.Engine, v.Schedule, v.At, v.Verdict.Reason)
 			fmt.Println("  violating prefix (every extension violates too, by Corollary 2):")
-			_ = duopacity.FormatHistory(os.Stdout, v.History)
+			_ = duopacity.FormatHistory(os.Stdout, v.History.History)
 		default: // BudgetExhausted (reachable if you grow the plan above)
 			fmt.Printf("%s: UNDECIDED — budget exhausted after %d replays (frontier depth %d); no violation found, no proof obtained.\n",
 				r.Engine, r.Replays, r.MaxFrontier)

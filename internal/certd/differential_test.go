@@ -3,6 +3,8 @@ package certd
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -92,12 +94,8 @@ func TestDistributedExploreByteIdentical(t *testing.T) {
 	}
 	want := harness.FormatExploreTable(local)
 
-	wire := make([]checkfarm.WirePlan, len(plans))
-	for i, p := range plans {
-		wire[i] = checkfarm.WirePlanOf(p)
-	}
 	_, c := startFarm(t, Config{LeaseTTL: 2 * time.Second}, 2)
-	st := submitAndWait(t, c, checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{Engine: "gl", Plans: wire}})
+	st := submitAndWait(t, c, checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{Engine: "gl", Plans: plans}})
 	if st.Formatted != want {
 		t.Fatalf("distributed exploration diverged:\nlocal:\n%s\ndistributed:\n%s", want, st.Formatted)
 	}
@@ -227,5 +225,28 @@ func TestHealthzStatsz(t *testing.T) {
 	}
 	if snap.Jobs.Open != 0 {
 		t.Fatalf("finished job still open in statsz: %+v", snap.Jobs)
+	}
+}
+
+// TestOversizedBodiesRejected: a /v1/jobs or /v1/result body over
+// maxBodyBytes is answered 413 with an explicit error, and the
+// coordinator keeps serving.
+func TestOversizedBodiesRejected(t *testing.T) {
+	_, c := startFarm(t, Config{}, 1)
+	big := `{"spec":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/result"} {
+		resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "request body exceeds") {
+			t.Fatalf("%s: oversized body got %d %q, want 413 with an explicit error", path, resp.StatusCode, body)
+		}
+	}
+	st := submitAndWait(t, c, checkJobSpec("write 1 X 1\ncommit 1\n"))
+	if !strings.Contains(st.Formatted, "du-opacity: OK") {
+		t.Fatalf("coordinator stopped serving after oversized bodies: %+v", st)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"duopacity/internal/checkfarm"
+	"duopacity/internal/histio"
 	"duopacity/internal/spec"
 )
 
@@ -34,8 +35,16 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 func checkJobSpec(histories ...string) checkfarm.JobSpec {
+	hs := make([]histio.Text, len(histories))
+	for i, src := range histories {
+		h, err := histio.ParseString(src)
+		if err != nil {
+			panic(err)
+		}
+		hs[i] = histio.Text{History: h}
+	}
 	return checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
-		Histories: histories,
+		Histories: hs,
 		Criteria:  []spec.Criterion{spec.DUOpacity},
 	}}
 }

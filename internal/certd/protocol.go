@@ -1,10 +1,14 @@
-// Package certd turns the in-process certification farm (package
-// checkfarm) into a service: a coordinator slices farm jobs — episode
-// certifications, differential soak cells, exhaustive plan explorations,
-// history batches — into the shards of checkfarm.JobSpec and hands them
-// to pull-based workers over a lease/heartbeat protocol, folding the
-// ordered results with checkfarm.FoldJob so a distributed run's report
-// is byte-identical to the in-process farm's. A second, line-oriented
+// Package certd turns the certification farm (package checkfarm) into a
+// service: a coordinator slices farm jobs — episode certifications,
+// differential soak cells, exhaustive plan explorations, history batches
+// — into the shards of checkfarm.JobSpec and hands them to pull-based
+// workers over a lease/heartbeat protocol. Workers compute shards with
+// checkfarm's RunShard and the coordinator folds the ordered results
+// with checkfarm.FoldJob — the execution path the in-process farm runs
+// too, so a distributed run's report is byte-identical to a local one by
+// construction. Specs and shard results travel as JSON (the report types'
+// own codecs: histio text for histories, stm text for plans); every /v1
+// request body is bounded (maxBodyBytes, 413 past it). A second, line-oriented
 // listener generalizes `ducheck -follow` to the network: each connection
 // feeds a spec.Monitor incrementally and gets per-event verdicts back,
 // with bounded per-stream queues and explicit backpressure.

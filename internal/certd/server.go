@@ -3,6 +3,7 @@ package certd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -523,8 +524,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		id, n, err := s.Submit(req.Spec)
@@ -549,8 +549,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		g := s.Lease(req.Worker)
@@ -562,8 +561,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if !s.Heartbeat(req.LeaseID) {
@@ -574,8 +572,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if err := s.Result(req); err != nil {
@@ -585,6 +582,31 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// maxBodyBytes bounds every /v1 request body. The largest bodies the
+// repository's CLIs and tests send are soak shard results carrying a
+// recorded history and check jobs carrying whole histories, tens of KiB
+// at most; 8 MiB leaves two orders of magnitude of headroom for
+// hand-written check jobs while keeping a hostile body from holding the
+// coordinator's memory.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the JSON request body into v. On failure it answers
+// 413 for a body over maxBodyBytes and 400 for a malformed one, and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

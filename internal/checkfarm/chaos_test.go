@@ -9,6 +9,7 @@ import (
 
 	"duopacity/internal/chaos"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/litmus"
 	"duopacity/internal/spec"
@@ -17,12 +18,12 @@ import (
 
 // acceptingHistories returns a few litmus histories known du-opaque, as
 // CheckBatch fodder.
-func acceptingHistories(t *testing.T, n int) []*history.History {
+func acceptingHistories(t *testing.T, n int) []histio.Text {
 	t.Helper()
-	var hs []*history.History
+	var hs []histio.Text
 	for _, c := range litmus.Cases() {
 		if c.Expect[spec.DUOpacity] {
-			hs = append(hs, c.H)
+			hs = append(hs, histio.Text{History: c.H})
 		}
 		if len(hs) == n {
 			return hs
@@ -91,13 +92,13 @@ func TestRunProtectedOrdinaryErrorIsNotRetried(t *testing.T) {
 func TestCheckBatchRecoversInjectedPanic(t *testing.T) {
 	hs := acceptingHistories(t, 4)
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
-	want, err := CheckBatch(context.Background(), hs, criteria, 2)
+	want, err := CheckBatch(context.Background(), CheckJob{Histories: hs, Criteria: criteria}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := &chaos.FarmFaults{PanicEvery: 1, PanicAttempts: shardAttempts - 1}
 	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	got, err := CheckBatch(ctx, hs, criteria, 2)
+	got, err := CheckBatch(ctx, CheckJob{Histories: hs, Criteria: criteria}, 2)
 	if err != nil {
 		t.Fatalf("recovered panics failed the farm: %v", err)
 	}
@@ -115,14 +116,14 @@ func TestCheckBatchRecoversInjectedPanic(t *testing.T) {
 func TestCheckBatchDegradesPastRetries(t *testing.T) {
 	hs := acceptingHistories(t, 3)
 	criteria := []spec.Criterion{spec.DUOpacity}
-	want, err := CheckBatch(context.Background(), hs, criteria, 2)
+	want, err := CheckBatch(context.Background(), CheckJob{Histories: hs, Criteria: criteria}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Strike only shard 0, forever.
 	ff := &chaos.FarmFaults{PanicEvery: len(hs), PanicAttempts: 100}
 	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	got, err := CheckBatch(ctx, hs, criteria, 2)
+	got, err := CheckBatch(ctx, CheckJob{Histories: hs, Criteria: criteria}, 2)
 	if err != nil {
 		t.Fatalf("degraded shard failed the batch: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestCheckBatchDegradesPastRetries(t *testing.T) {
 }
 
 // TestCertifyStreamDegradesPastRetries: episode shards that crash past
-// the retry bound arrive as DegradedEpisode reports, in order, with every
+// the retry bound arrive as DegradedShard episodes, in order, with every
 // verdict undecided and the panic reason attached.
 func TestCertifyStreamDegradesPastRetries(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
@@ -149,7 +150,7 @@ func TestCertifyStreamDegradesPastRetries(t *testing.T) {
 	ff := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: 100} // episodes 0 and 3
 	ctx := chaos.WithFarmFaults(context.Background(), ff)
 	var got []harness.EpisodeReport
-	err := CertifyStream(ctx, cfg, criteria, 2, func(ep int, r harness.EpisodeReport) error {
+	err := certifyStream(ctx, cfg, criteria, 2, func(ep int, r harness.EpisodeReport) error {
 		got = append(got, r)
 		return nil
 	})
@@ -251,6 +252,45 @@ func TestExplorePlansDegradesPastRetries(t *testing.T) {
 	}
 }
 
+// TestSoakDegradesPastRetries: a soak cell that panics past the retry
+// bound becomes a degraded cell — counted in SoakResult.Degraded, shown
+// by FormatSoakReport, excluded from the verdict counts — and the other
+// cells are untouched.
+func TestSoakDegradesPastRetries(t *testing.T) {
+	cfg := SoakConfig{Engines: []string{"gl"}, Criteria: []spec.Criterion{spec.DUOpacity}, Rounds: 2, Seed: 3}
+	want, err := Soak(context.Background(), cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &chaos.FarmFaults{PanicEvery: 4, PanicAttempts: 100} // cell 0 of 4
+	ctx := chaos.WithFarmFaults(context.Background(), ff)
+	got, err := Soak(ctx, cfg, 2)
+	if err != nil {
+		t.Fatalf("degraded cell failed the soak: %v", err)
+	}
+	if got.Degraded != 1 || got.Cells[0].Degraded == "" || !strings.Contains(got.Cells[0].Degraded, "panicked") {
+		t.Fatalf("degraded=%d, cell 0 degraded=%q; want 1 panicked cell", got.Degraded, got.Cells[0].Degraded)
+	}
+	for i := 1; i < len(got.Cells); i++ {
+		if g, w := got.Cells[i].Verdicts[spec.DUOpacity], want.Cells[i].Verdicts[spec.DUOpacity]; g.OK != w.OK || g.Undecided != w.Undecided {
+			t.Fatalf("healthy cell %d changed: %v vs %v", i, g, w)
+		}
+	}
+	observed := 0
+	for _, c := range got.Cells {
+		if c.Degraded == "" && !c.Skipped {
+			observed++
+		}
+	}
+	counted := got.Accepted["gl"][spec.DUOpacity] + got.Rejected["gl"][spec.DUOpacity] + got.Undecided["gl"][spec.DUOpacity]
+	if counted != observed || observed != len(got.Cells)-1 {
+		t.Fatalf("counted %d cells, observed %d of %d; want the degraded cell excluded", counted, observed, len(got.Cells))
+	}
+	if out := FormatSoakReport(cfg, got); !strings.Contains(out, "1 cell(s) degraded") {
+		t.Fatalf("soak report does not surface the degradation:\n%s", out)
+	}
+}
+
 // TestCertifyCancelledContext: an already-cancelled context stops the
 // farm promptly with the context's error and no partial emission damage.
 func TestCertifyCancelledContext(t *testing.T) {
@@ -265,7 +305,7 @@ func TestCertifyCancelledContext(t *testing.T) {
 // farmStage wires the soak's farm hook through the real batch path, as
 // cmd/stmbench does.
 func farmStage(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
-	vs, err := CheckBatch(ctx, []*history.History{h}, []spec.Criterion{c}, 1, spec.WithNodeLimit(nodeLimit))
+	vs, err := CheckBatch(ctx, CheckJob{Histories: []histio.Text{{History: h}}, Criteria: []spec.Criterion{c}, NodeLimit: nodeLimit}, 1)
 	if err != nil {
 		return spec.Verdict{}, "", err
 	}

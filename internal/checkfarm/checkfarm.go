@@ -24,12 +24,13 @@
 // divergences between criteria, and shrinks each violating history to a
 // minimal counterexample with gen.Shrink.
 //
-// Sharding is over independent units of work — each episode runs on a
-// fresh engine, each batch entry is its own history, each exploration
-// replays its own plan — so the only shared state is the result slot a
-// shard owns exclusively. spec.Check is safe for concurrent use (each
-// call builds its own search state and memo over an immutable history),
-// which the race-enabled tests of this package and package spec pin down.
+// Because du-opacity is prefix- and limit-closed (the paper's main
+// theorem), a certification splits into independent shards whose
+// verdicts fold in order. Certify, ExplorePlans, CheckBatch and Soak
+// build a JobSpec and run it on the farm's one execution path
+// (shards.go), which certd's distributed jobs share. The only shared
+// state is the fold, fed in shard order; spec.Check is safe for
+// concurrent use, which the race-enabled tests pin down.
 package checkfarm
 
 import (
@@ -39,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"duopacity/internal/harness"
-	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 )
@@ -102,31 +102,6 @@ func shard(ctx context.Context, n, jobs int, work func(i int) error) error {
 	return ctx.Err()
 }
 
-// CertifyStream runs the certification of cfg sharded over jobs workers
-// and delivers every episode report strictly in episode order through
-// emit, without buffering the whole run: a bounded reorder window holds
-// back workers that run too far ahead of the stream, so memory stays
-// O(jobs) for arbitrarily large certifications (ROADMAP item: stream
-// episode results instead of buffering []EpisodeReport).
-//
-// emit is called from worker goroutines but never concurrently, and the
-// calls arrive in episode order 0, 1, 2, ...; an error from emit cancels
-// the remaining episodes and is returned. jobs <= 0 uses GOMAXPROCS.
-// A shard whose episode panics (a crashed worker, or an injected
-// chaos.FarmFaults strike) is retried with backoff and, past its retries,
-// degrades into harness.DegradedEpisode — an explicitly-undecided report
-// carrying the panic reason — instead of failing the run; ordinary errors
-// keep the historical first-error-cancels semantics. See protect.go.
-func CertifyStream(ctx context.Context, cfg harness.CertConfig, criteria []spec.Criterion, jobs int, emit func(ep int, r harness.EpisodeReport) error) error {
-	cfg = cfg.WithDefaults()
-	run := protect(ctx, func(ep int) (harness.EpisodeReport, error) {
-		return harness.CertifyEpisodeCtx(ctx, cfg, ep, criteria)
-	}, func(_ int, err *ShardPanicError) harness.EpisodeReport {
-		return harness.DegradedEpisode(criteria, err.Error())
-	})
-	return streamOrdered(ctx, cfg.Episodes, jobs, run, emit)
-}
-
 // streamOrdered fans run(0..n-1) across jobs workers and delivers the
 // results in index order through emit, holding back workers that get more
 // than a bounded window ahead of the stream. Any error — from run, emit
@@ -151,8 +126,8 @@ func streamOrdered[T any](ctx context.Context, n, jobs int, run func(ep int) (T,
 		firstErr error
 		stopping bool
 	)
-	// Record the first failure and wake every window-blocked worker. The
-	// watcher below funnels caller cancellation through the same path.
+	// Record the first failure and wake every window-blocked worker;
+	// caller cancellation takes the same path.
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil && err != nil {
@@ -163,15 +138,7 @@ func streamOrdered[T any](ctx context.Context, n, jobs int, run func(ep int) (T,
 		cond.Broadcast()
 		cancel()
 	}
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		<-ctx.Done()
-		mu.Lock()
-		stopping = true
-		mu.Unlock()
-		cond.Broadcast()
-	}()
+	stopWatch := context.AfterFunc(ctx, func() { fail(nil) })
 
 	err := shard(ctx, n, jobs, func(ep int) error {
 		// Bounded reorder window: episode ep may only run once the stream
@@ -216,8 +183,7 @@ func streamOrdered[T any](ctx context.Context, n, jobs int, run func(ep int) (T,
 		cond.Broadcast()
 		return nil
 	})
-	cancel()
-	<-watcherDone
+	stopWatch()
 	mu.Lock()
 	ferr := firstErr
 	mu.Unlock()
@@ -240,7 +206,7 @@ func CertifyOnline(ctx context.Context, cfg harness.CertConfig, c spec.Criterion
 	cfg = cfg.WithDefaults()
 	stats := harness.OnlineStats{Engine: cfg.Workload.Engine, Criterion: c}
 	run := protect(ctx, func(ep int) (harness.OnlineReport, error) {
-		return harness.CertifyEpisodeOnlineCtx(ctx, cfg, ep, c)
+		return harness.CertifyEpisodeOnline(ctx, cfg, ep, c)
 	}, func(_ int, err *ShardPanicError) harness.OnlineReport {
 		return harness.OnlineReport{
 			Verdict:        spec.Verdict{Criterion: c, Undecided: true, Reason: "degraded: " + err.Error()},
@@ -258,25 +224,19 @@ func CertifyOnline(ctx context.Context, cfg harness.CertConfig, c spec.Criterion
 	return stats, nil
 }
 
-// Certify is harness.Certify sharded over jobs workers: episodes are
-// distributed across the pool, each seeded purely from the base seed and
-// its episode index (exactly as the sequential path seeds them), and the
-// reports are folded in episode order via CertifyStream, so the returned
-// statistics are byte-identical to harness.Certify for the same
-// configuration whenever the per-episode histories are — always under
-// cfg.Interleaved, and for any engine whose per-episode verdicts don't
-// depend on scheduling luck. jobs <= 0 uses GOMAXPROCS.
+// Certify is harness.Certify sharded over jobs workers: each episode is
+// seeded purely from the base seed and its index, and the reports fold in
+// episode order as they complete, holding only a bounded reorder window.
+// The statistics are byte-identical to harness.Certify whenever the
+// per-episode histories are — always under cfg.Interleaved. An episode
+// that panics past its retries degrades (harness.DegradedEpisode)
+// instead of failing the run. jobs <= 0 uses GOMAXPROCS.
 func Certify(ctx context.Context, cfg harness.CertConfig, criteria []spec.Criterion, jobs int) (harness.CertStats, error) {
-	cfg = cfg.WithDefaults()
-	stats := harness.NewCertStats(cfg.Workload.Engine)
-	err := CertifyStream(ctx, cfg, criteria, jobs, func(_ int, r harness.EpisodeReport) error {
-		stats.AddEpisode(criteria, r)
-		return nil
-	})
+	rep, err := runJob(ctx, JobSpec{Kind: KindCertify, Certify: &CertifyJob{Config: cfg, Criteria: criteria}}, jobs)
 	if err != nil {
 		return harness.NewCertStats(cfg.Workload.Engine), err
 	}
-	return stats, nil
+	return *rep.Certify, nil
 }
 
 // Sweep is harness.Sweep sharded over jobs workers. Points come back in
@@ -319,83 +279,34 @@ func Sweep(ctx context.Context, cfg harness.SweepConfig, jobs int) ([]harness.Sw
 	return points, nil
 }
 
-// ExplorePlans runs the exhaustive schedule exploration of
-// harness.ExplorePlan for every plan, sharded across jobs workers, and
-// returns the reports in input order: results[i] is the per-plan verdict
-// (proven / violation with the pinned causing schedule / budget
-// exhausted) for plans[i]. Explorations are independent — each replays
-// its plan on fresh engines — and each is deterministic, so the sharded
-// reports are byte-identical to a sequential loop (the Certify
-// discipline). jobs <= 0 uses GOMAXPROCS. It backs ducheck's -explore
-// batch mode and stmbench's explore subcommand.
-//
-// cfg is shared by every shard: with jobs > 1 a cfg.OnSchedule callback
-// is invoked concurrently from all workers and must be safe for
-// concurrent use (a plain map accumulator, fine under a single
-// ExplorePlan call, races here).
-// Cancellation propagates into every exploration's replay loop and
-// monitor checks (harness.ExplorePlanCtx), and a shard panicking past its
-// retries degrades into a BudgetExhausted report with DegradedReason set
-// instead of failing the batch.
+// ExplorePlans runs harness.ExplorePlan for every plan, sharded across
+// jobs workers, and returns the reports in input order. Explorations are
+// independent and deterministic, so the reports are byte-identical to a
+// sequential loop. It backs ducheck's -explore batch mode and stmbench's
+// explore subcommand. cfg is shared by every shard: with jobs > 1 a
+// cfg.OnSchedule callback must be safe for concurrent use. A plan that
+// panics past its retries degrades into a BudgetExhausted report with
+// DegradedReason set instead of failing the batch. jobs <= 0 uses
+// GOMAXPROCS.
 func ExplorePlans(ctx context.Context, engine string, plans []stm.Plan, cfg harness.ExploreConfig, jobs int) ([]harness.ExploreReport, error) {
-	crit := cfg.Criterion
-	if crit == 0 {
-		crit = spec.DUOpacity
-	}
-	results := make([]harness.ExploreReport, len(plans))
-	err := shard(ctx, len(plans), jobs, func(i int) error {
-		return protectShard(ctx, i, func() error {
-			r, rerr := harness.ExplorePlanCtx(ctx, engine, plans[i], cfg)
-			if rerr != nil {
-				return rerr
-			}
-			results[i] = r
-			return nil
-		}, func(pe *ShardPanicError) {
-			results[i] = harness.ExploreReport{
-				Engine: engine, Criterion: crit, Plan: plans[i],
-				Outcome: harness.BudgetExhausted, DegradedReason: pe.Error(),
-			}
-		})
-	})
+	rep, err := runJob(ctx, JobSpec{Kind: KindExplore, Explore: &ExploreJob{Engine: engine, Plans: plans, Config: cfg}}, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return rep.Explore, nil
 }
 
-// CheckBatch checks every history against every criterion across the
-// pool and returns the verdicts with results[i][j] corresponding to
-// (hs[i], criteria[j]). It backs ducheck's -parallel batch mode.
-// Cancellation propagates into each check's search loop
+// CheckBatch checks every history of job against every criterion across
+// the pool and returns the verdicts with results[i][j] corresponding to
+// (job.Histories[i], job.Criteria[j]). It backs ducheck's -parallel batch
+// mode. Cancellation propagates into each check's search loop
 // (spec.WithContext), turning remaining checks into prompt undecided
 // verdicts; a shard panicking past its retries degrades its row into
 // explicit undecided verdicts carrying the panic reason.
-func CheckBatch(ctx context.Context, hs []*history.History, criteria []spec.Criterion, jobs int, opts ...spec.Option) ([][]spec.Verdict, error) {
-	if ctx != nil {
-		// Re-cap before appending: the variadic backing array may be shared
-		// with the caller.
-		opts = append(opts[:len(opts):len(opts)], spec.WithContext(ctx))
-	}
-	results := make([][]spec.Verdict, len(hs))
-	err := shard(ctx, len(hs), jobs, func(i int) error {
-		return protectShard(ctx, i, func() error {
-			vs := make([]spec.Verdict, len(criteria))
-			for j, c := range criteria {
-				vs[j] = spec.Check(hs[i], c, opts...)
-			}
-			results[i] = vs
-			return nil
-		}, func(pe *ShardPanicError) {
-			vs := make([]spec.Verdict, len(criteria))
-			for j, c := range criteria {
-				vs[j] = spec.Verdict{Criterion: c, Undecided: true, Reason: "degraded: " + pe.Error()}
-			}
-			results[i] = vs
-		})
-	})
+func CheckBatch(ctx context.Context, job CheckJob, jobs int) ([][]spec.Verdict, error) {
+	rep, err := runJob(ctx, JobSpec{Kind: KindCheck, Check: &job}, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return rep.Check, nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"duopacity/internal/harness"
-	"duopacity/internal/history"
+	"duopacity/internal/histio"
 	"duopacity/internal/litmus"
 	"duopacity/internal/spec"
 )
@@ -74,12 +74,12 @@ func TestCertifyCanceledContext(t *testing.T) {
 
 func TestCheckBatchOrderAndVerdicts(t *testing.T) {
 	cases := litmus.Cases()
-	hs := make([]*history.History, len(cases))
+	hs := make([]histio.Text, len(cases))
 	for i, c := range cases {
-		hs[i] = c.H
+		hs[i].History = c.H
 	}
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
-	got, err := CheckBatch(context.Background(), hs, criteria, 4)
+	got, err := CheckBatch(context.Background(), CheckJob{Histories: hs, Criteria: criteria}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCheckBatchOrderAndVerdicts(t *testing.T) {
 	}
 	for i, h := range hs {
 		for j, c := range criteria {
-			want := spec.Check(h, c)
+			want := spec.Check(h.History, c)
 			if got[i][j].OK != want.OK || got[i][j].Criterion != want.Criterion {
 				t.Errorf("case %q criterion %s: got OK=%v, want OK=%v",
 					cases[i].Name, c, got[i][j].OK, want.OK)

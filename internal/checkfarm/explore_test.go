@@ -26,7 +26,7 @@ func TestExplorePlansMatchesSequential(t *testing.T) {
 	for _, eng := range []string{"tl2", "ple"} {
 		var want []harness.ExploreReport
 		for _, p := range plans {
-			r, err := harness.ExplorePlan(eng, p, harness.ExploreConfig{})
+			r, err := harness.ExplorePlan(context.Background(), eng, p, harness.ExploreConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestExplorePlansMatchesSequential(t *testing.T) {
 				if (gv == nil) != (wv == nil) {
 					t.Fatalf("%s jobs=%d plan %d: violation presence diverged", eng, jobs, i)
 				}
-				if gv != nil && histio.FormatString(gv.History) != histio.FormatString(wv.History) {
+				if gv != nil && histio.FormatString(gv.History.History) != histio.FormatString(wv.History.History) {
 					t.Errorf("%s jobs=%d plan %d: pinned violations diverged", eng, jobs, i)
 				}
 			}

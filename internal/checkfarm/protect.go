@@ -2,7 +2,6 @@ package checkfarm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -12,17 +11,17 @@ import (
 // This file is the farm's worker-fault containment: a panicking shard must
 // not take the whole certification down (the farm's historical semantics
 // for ordinary errors — first error cancels the run — stay untouched; a
-// panic is not a verdict, it is a crashed worker). Each entry point wraps
-// only its shard's pure compute unit in runProtected — never emit
+// panic is not a verdict, it is a crashed worker). protect wraps only a
+// shard's pure compute unit in runProtected — RunShard for jobs (see
+// streamJob), the monitored episode for CertifyOnline — never emit
 // callbacks or window bookkeeping, which run under streamOrdered's mutex
 // and must not unwind mid-update. A unit that panics is retried up to
 // shardAttempts times with exponential backoff; a unit that panics past
-// its retries degrades: the entry point substitutes an explicit
-// degraded-and-undecided result for that shard (harness.DegradedEpisode,
-// an undecided OnlineReport / ExploreReport / verdict row with the reason
-// attached) and the rest of the farm proceeds. chaos.FarmFaults attached
-// to the context (chaos.WithFarmFaults) strikes inside the protected
-// region, so injected faults exercise exactly this machinery.
+// its retries degrades: an explicit degraded-and-undecided result takes
+// the shard's place (JobSpec.DegradedShard, or an undecided OnlineReport)
+// and the rest of the farm proceeds. chaos.FarmFaults attached to the
+// context (chaos.WithFarmFaults) strikes inside the protected region, so
+// injected faults exercise exactly this machinery.
 
 // shardAttempts bounds how many times a panicking shard is retried before
 // it degrades (first run plus two retries).
@@ -79,20 +78,6 @@ func runProtected(ctx context.Context, shard int, fn func() error) error {
 	return last
 }
 
-// protectShard is the slot-writing counterpart of protect: it runs fn
-// under runProtected and, when the shard panicked past its retries, calls
-// degrade (which fills the shard's result slot with an explicit degraded
-// value) and swallows the error so the farm proceeds.
-func protectShard(ctx context.Context, i int, fn func() error, degrade func(err *ShardPanicError)) error {
-	err := runProtected(ctx, i, fn)
-	var pe *ShardPanicError
-	if errors.As(err, &pe) {
-		degrade(pe)
-		return nil
-	}
-	return err
-}
-
 // protect wraps a streamed run function so that a shard panicking past
 // its retries yields degrade(ep, err) as that shard's result instead of
 // failing the farm. Non-panic errors pass through unchanged.
@@ -104,8 +89,7 @@ func protect[T any](ctx context.Context, run func(ep int) (T, error), degrade fu
 			r, e = run(ep)
 			return e
 		})
-		var pe *ShardPanicError
-		if errors.As(err, &pe) {
+		if pe, ok := err.(*ShardPanicError); ok {
 			return degrade(ep, pe), nil
 		}
 		return r, err

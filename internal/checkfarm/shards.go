@@ -1,15 +1,11 @@
-// This file is the farm's process boundary: serializable descriptions of
-// farm jobs (JobSpec), of their independent work units (shards), and of
-// per-shard results (ShardResult), plus the two entry points a
-// distributed deployment needs — RunShard, the worker-side compute of
-// one shard, and FoldJob, the coordinator-side ordered aggregation. The
-// contract is the one the in-process farm has pinned since PR 1: a shard
-// is a pure function of (spec, index), results are folded strictly in
-// shard order, and the folded report is byte-identical to the in-process
-// farm's for the same spec (TestFoldMatchesLocalFarm). internal/certd
-// ships these types as JSON between its coordinator and workers;
-// histories, plans and witnesses travel in the histio / stm text
-// formats, which are lossless for everything the folds consume.
+// This file is the farm's one execution path: a serializable JobSpec, its
+// shards (RunShard, or DegradedShard for a shard that could not be
+// computed) and the ordered fold. The in-process entry points run jobs
+// through runJob and fold the real report types in memory; certd ships
+// the same specs and results as JSON and folds them with FoldJob, so the
+// two agree by construction. On the wire, plans travel as stm text,
+// histories as histio text (histio.Text) and witnesses as history.Seq
+// text, rebuilt at the fold (restoreWitnesses).
 package checkfarm
 
 import (
@@ -19,6 +15,7 @@ import (
 
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -52,69 +49,45 @@ type JobSpec struct {
 	Soak    *SoakJob    `json:"soak,omitempty"`
 }
 
-// CertifyJob distributes Certify: each shard runs one episode.
+// CertifyJob is a certification: each shard runs one episode.
 type CertifyJob struct {
 	Config   harness.CertConfig `json:"config"`
 	Criteria []spec.Criterion   `json:"criteria"`
 }
 
-// ExploreJob distributes ExplorePlans: each shard explores one plan.
+// ExploreJob is a batch of plan explorations: each shard explores one
+// plan.
 type ExploreJob struct {
 	Engine string                `json:"engine"`
-	Plans  []WirePlan            `json:"plans"`
+	Plans  []stm.Plan            `json:"plans"`
 	Config harness.ExploreConfig `json:"config"`
 }
 
-// CheckJob distributes CheckBatch: each shard checks one history (histio
-// text format) against every criterion. NodeLimit 0 leaves the searches
-// unbounded, as ducheck's batch mode does.
+// CheckJob is a history batch: each shard checks one history against
+// every criterion. NodeLimit 0 leaves the searches unbounded, as
+// ducheck's batch mode does; Portfolio > 1 runs each check as a parallel
+// portfolio search with that many workers (spec.WithParallelism).
 type CheckJob struct {
-	Histories []string         `json:"histories"`
+	Histories []histio.Text    `json:"histories"`
 	Criteria  []spec.Criterion `json:"criteria"`
 	NodeLimit int              `json:"node_limit,omitempty"`
+	Portfolio int              `json:"portfolio,omitempty"`
 }
 
-// SoakJob distributes the differential soak: each shard observes one
-// cell of the canonical grid; divergence extraction and shrinking run at
-// the fold.
+// SoakJob is a differential soak: each shard observes one cell of the
+// canonical grid; divergence extraction and shrinking run at the fold.
 type SoakJob struct {
 	Config SoakConfig `json:"config"`
-}
-
-// WirePlan carries an stm.Plan as text plus its explicit object count
-// (ParsePlan infers Objects from the largest index used, which loses
-// planned-but-untouched objects).
-type WirePlan struct {
-	Objects int    `json:"objects"`
-	Text    string `json:"text"`
-}
-
-// WirePlanOf encodes a plan.
-func WirePlanOf(p stm.Plan) WirePlan {
-	return WirePlan{Objects: p.Objects, Text: p.String()}
-}
-
-// Plan decodes the plan back.
-func (w WirePlan) Plan() (stm.Plan, error) {
-	p, err := stm.ParsePlan(w.Text)
-	if err != nil {
-		return stm.Plan{}, err
-	}
-	if w.Objects > p.Objects {
-		p.Objects = w.Objects
-	}
-	return p, nil
 }
 
 // Normalize validates the spec and pins every defaulted knob, so that
 // NumShards and RunShard become pure functions of the returned spec —
 // the property that lets a coordinator and its workers agree on the work
-// without sharing memory. It mirrors exactly the defaulting the
-// in-process entry points apply (CertConfig.WithDefaults,
-// SoakConfig.withDefaults, ExplorePlans' criterion default). Engine
-// names — including "engine+cm" matrix cells — are validated through
-// engines.Parse, so a bad name fails at submit time on the
-// coordinator, not at lease time on some worker.
+// without sharing memory. It applies the defaulting of the harness
+// (CertConfig.WithDefaults, ExplorePlan's criterion default) and of
+// SoakConfig. Engine names — including "engine+cm" matrix cells — are
+// validated through engines.Parse, so a bad name fails at submit time on
+// the coordinator, not at lease time on some worker.
 func (s JobSpec) Normalize() (JobSpec, error) {
 	switch s.Kind {
 	case KindCertify:
@@ -138,8 +111,8 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if e.Config.Criterion == 0 {
 			e.Config.Criterion = spec.DUOpacity
 		}
-		for i, wp := range e.Plans {
-			if _, err := wp.Plan(); err != nil {
+		for i, p := range e.Plans {
+			if err := p.Validate(); err != nil {
 				return s, fmt.Errorf("checkfarm: explore job plan %d: %w", i, err)
 			}
 		}
@@ -148,9 +121,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if s.Check == nil || len(s.Check.Histories) == 0 || len(s.Check.Criteria) == 0 {
 			return s, fmt.Errorf("checkfarm: check job wants histories and criteria")
 		}
-		for i, src := range s.Check.Histories {
-			if _, err := histio.ParseString(src); err != nil {
-				return s, fmt.Errorf("checkfarm: check job history %d: %w", i, err)
+		for i, h := range s.Check.Histories {
+			if h.History == nil {
+				return s, fmt.Errorf("checkfarm: check job history %d is missing", i)
 			}
 		}
 	case KindSoak:
@@ -187,393 +160,253 @@ func (s JobSpec) NumShards() int {
 	return 0
 }
 
-// WireVerdict is spec.Verdict in serializable form: the witness
-// serialization travels as its rendered text (enough to reproduce the
-// CLI output byte for byte; the structural Seq stays local).
-type WireVerdict struct {
-	Criterion spec.Criterion `json:"criterion"`
-	OK        bool           `json:"ok,omitempty"`
-	Undecided bool           `json:"undecided,omitempty"`
-	Reason    string         `json:"reason,omitempty"`
-	Nodes     int            `json:"nodes,omitempty"`
-	Witness   string         `json:"witness,omitempty"`
-}
-
-// WireVerdictOf encodes a verdict.
-func WireVerdictOf(v spec.Verdict) WireVerdict {
-	w := WireVerdict{Criterion: v.Criterion, OK: v.OK, Undecided: v.Undecided, Reason: v.Reason, Nodes: v.Nodes}
-	if v.Serialization != nil {
-		w.Witness = v.Serialization.String()
-	}
-	return w
-}
-
-// Verdict decodes back to a spec.Verdict; the witness text cannot be
-// rebuilt into a structural Seq, so Serialization stays nil (no fold
-// consumes it — aggregation only reads OK/Undecided/Reason).
-func (w WireVerdict) Verdict() spec.Verdict {
-	return spec.Verdict{Criterion: w.Criterion, OK: w.OK, Undecided: w.Undecided, Reason: w.Reason, Nodes: w.Nodes}
-}
-
-// String renders exactly as spec.Verdict.String does, witness included.
-func (w WireVerdict) String() string {
-	switch {
-	case w.Undecided:
-		return fmt.Sprintf("%s: undecided (%s)", w.Criterion, w.Reason)
-	case w.OK && w.Witness != "":
-		return fmt.Sprintf("%s: OK [%s]", w.Criterion, w.Witness)
-	case w.OK:
-		return fmt.Sprintf("%s: OK", w.Criterion)
-	default:
-		return fmt.Sprintf("%s: violated (%s)", w.Criterion, w.Reason)
-	}
-}
-
-// WireEpisode is harness.EpisodeReport without the recorded history
-// (certify aggregation never reads it; keeping episodes light is what
-// makes remote certification cheap).
-type WireEpisode struct {
-	Skipped  bool          `json:"skipped,omitempty"`
-	Degraded string        `json:"degraded,omitempty"`
-	Verdicts []WireVerdict `json:"verdicts,omitempty"`
-}
-
-// Report decodes back into the report shape CertStats.AddEpisode folds.
-func (w WireEpisode) Report() harness.EpisodeReport {
-	r := harness.EpisodeReport{Skipped: w.Skipped, Degraded: w.Degraded}
-	if len(w.Verdicts) > 0 {
-		r.Verdicts = make(map[spec.Criterion]spec.Verdict, len(w.Verdicts))
-		for _, v := range w.Verdicts {
-			r.Verdicts[v.Criterion] = v.Verdict()
-		}
-	}
-	return r
-}
-
-func wireEpisodeOf(r harness.EpisodeReport, criteria []spec.Criterion) WireEpisode {
-	w := WireEpisode{Skipped: r.Skipped, Degraded: r.Degraded}
-	if r.Verdicts != nil {
-		for _, c := range criteria {
-			w.Verdicts = append(w.Verdicts, WireVerdictOf(r.Verdicts[c]))
-		}
-	}
-	return w
-}
-
-// WireViolation is ExploreViolation with the violating prefix in histio
-// text.
-type WireViolation struct {
-	Schedule []int       `json:"schedule"`
-	History  string      `json:"history"`
-	Verdict  WireVerdict `json:"verdict"`
-	At       int         `json:"at"`
-}
-
-// WireExplore is harness.ExploreReport in serializable form.
-type WireExplore struct {
-	Engine         string         `json:"engine"`
-	Criterion      spec.Criterion `json:"criterion"`
-	Plan           WirePlan       `json:"plan"`
-	Outcome        uint8          `json:"outcome"`
-	Schedules      int            `json:"schedules"`
-	PrefixCut      int            `json:"prefix_cut"`
-	Violations     int            `json:"violations"`
-	Violation      *WireViolation `json:"violation,omitempty"`
-	SleepPruned    int            `json:"sleep_pruned"`
-	SymmetryPruned int            `json:"symmetry_pruned"`
-	Steps          int64          `json:"steps"`
-	Replays        int            `json:"replays"`
-	MaxFrontier    int            `json:"max_frontier"`
-	Undecided      int            `json:"undecided"`
-	DegradedReason string         `json:"degraded_reason,omitempty"`
-}
-
-// WireExploreOf encodes an exploration report.
-func WireExploreOf(r harness.ExploreReport) WireExplore {
-	w := WireExplore{
-		Engine: r.Engine, Criterion: r.Criterion, Plan: WirePlanOf(r.Plan),
-		Outcome: uint8(r.Outcome), Schedules: r.Schedules, PrefixCut: r.PrefixCut,
-		Violations: r.Violations, SleepPruned: r.SleepPruned, SymmetryPruned: r.SymmetryPruned,
-		Steps: r.Steps, Replays: r.Replays, MaxFrontier: r.MaxFrontier,
-		Undecided: r.Undecided, DegradedReason: r.DegradedReason,
-	}
-	if r.Violation != nil {
-		w.Violation = &WireViolation{
-			Schedule: r.Violation.Schedule,
-			History:  histio.FormatString(r.Violation.History),
-			Verdict:  WireVerdictOf(r.Violation.Verdict),
-			At:       r.Violation.At,
-		}
-	}
-	return w
-}
-
-// Report decodes back; plan and violating history are re-parsed from
-// their lossless text forms.
-func (w WireExplore) Report() (harness.ExploreReport, error) {
-	p, err := w.Plan.Plan()
-	if err != nil {
-		return harness.ExploreReport{}, err
-	}
-	r := harness.ExploreReport{
-		Engine: w.Engine, Criterion: w.Criterion, Plan: p,
-		Outcome: harness.ExploreOutcome(w.Outcome), Schedules: w.Schedules,
-		PrefixCut: w.PrefixCut, Violations: w.Violations,
-		SleepPruned: w.SleepPruned, SymmetryPruned: w.SymmetryPruned,
-		Steps: w.Steps, Replays: w.Replays, MaxFrontier: w.MaxFrontier,
-		Undecided: w.Undecided, DegradedReason: w.DegradedReason,
-	}
-	if w.Violation != nil {
-		h, herr := histio.ParseString(w.Violation.History)
-		if herr != nil {
-			return harness.ExploreReport{}, herr
-		}
-		r.Violation = &harness.ExploreViolation{
-			Schedule: w.Violation.Schedule,
-			History:  h,
-			Verdict:  w.Violation.Verdict.Verdict(),
-			At:       w.Violation.At,
-		}
-	}
-	return r, nil
-}
-
-// WireSoakCell is SoakCell with the recorded history in histio text (the
-// fold needs it: divergence shrinking replays the checker over it).
-type WireSoakCell struct {
-	Engine   string        `json:"engine"`
-	Round    int           `json:"round"`
-	Probe    bool          `json:"probe,omitempty"`
-	Skipped  bool          `json:"skipped,omitempty"`
-	Degraded string        `json:"degraded,omitempty"`
-	Verdicts []WireVerdict `json:"verdicts,omitempty"`
-	History  string        `json:"history,omitempty"`
-}
-
-// WireSoakCellOf encodes a cell.
-func WireSoakCellOf(c SoakCell) WireSoakCell {
-	w := WireSoakCell{Engine: c.Engine, Round: c.Round, Probe: c.Probe, Skipped: c.Skipped, Degraded: c.Degraded}
-	if c.History != nil {
-		w.History = histio.FormatString(c.History)
-	}
-	for _, v := range c.Verdicts {
-		w.Verdicts = append(w.Verdicts, WireVerdictOf(v))
-	}
-	return w
-}
-
-// Cell decodes back. Verdict map iteration order does not matter to the
-// fold (it indexes by criterion).
-func (w WireSoakCell) Cell(cfg SoakConfig) (SoakCell, error) {
-	c := SoakCell{Engine: w.Engine, Round: w.Round, Probe: w.Probe, Skipped: w.Skipped, Degraded: w.Degraded}
-	wl := cfg.roundWorkload(w.Round)
-	wl.Engine = w.Engine
-	c.Workload = wl
-	if w.History != "" {
-		h, err := histio.ParseString(w.History)
-		if err != nil {
-			return c, err
-		}
-		c.History = h
-	}
-	if len(w.Verdicts) > 0 {
-		c.Verdicts = make(map[spec.Criterion]spec.Verdict, len(w.Verdicts))
-		for _, v := range w.Verdicts {
-			c.Verdicts[v.Criterion] = v.Verdict()
-		}
-	}
-	return c, nil
-}
-
-// ShardResult is the serializable outcome of one shard; the field
-// matching the job's kind is set.
+// ShardResult is the outcome of one shard; the field matching the job's
+// kind is set.
 type ShardResult struct {
-	Episode *WireEpisode  `json:"episode,omitempty"`
-	Explore *WireExplore  `json:"explore,omitempty"`
-	Check   []WireVerdict `json:"check,omitempty"`
-	Soak    *WireSoakCell `json:"soak,omitempty"`
-	// Degraded is set (with the reason) when the result is a coordinator-
-	// substituted degradation artifact rather than a computed one — the
-	// distributed analog of a shard panicking past its retries.
+	Episode *harness.EpisodeReport `json:"episode,omitempty"`
+	Explore *harness.ExploreReport `json:"explore,omitempty"`
+	Check   []spec.Verdict         `json:"check,omitempty"`
+	Soak    *SoakCell              `json:"soak,omitempty"`
+	// Degraded is set (with the reason) when the result is a
+	// DegradedShard artifact rather than a computed one.
 	Degraded string `json:"degraded,omitempty"`
 }
 
-// RunShard computes shard i of a normalized spec — the worker-side
-// compute unit. It is a pure function of (spec, i) up to scheduling
-// nondeterminism of real-goroutine workloads (under Interleaved configs
-// it is bit-reproducible, exactly as the in-process farm's shards are).
+// RunShard computes shard i of a normalized spec — the compute unit of
+// both the in-process farm and a certd worker. It is a pure function of
+// (spec, i) up to the scheduling nondeterminism of real-goroutine
+// workloads (under Interleaved configs it is bit-reproducible).
 // Cancellation propagates into checks, monitors and explorations.
 func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
-	if i < 0 || i >= s.NumShards() {
-		return ShardResult{}, fmt.Errorf("checkfarm: shard %d out of range (%d shards)", i, s.NumShards())
+	if n := s.NumShards(); i < 0 || i >= n {
+		return ShardResult{}, fmt.Errorf("checkfarm: shard %d out of range (%d shards)", i, n)
 	}
+	return s.shardRunner(ctx)(i)
+}
+
+// shardRunner is RunShard for in-range shards with the job-wide setup
+// done once. Each kind gets its own closure, which keeps the frame under
+// a deep check or exploration small.
+func (s JobSpec) shardRunner(ctx context.Context) func(i int) (ShardResult, error) {
 	switch s.Kind {
 	case KindCertify:
-		r, err := harness.CertifyEpisodeCtx(ctx, s.Certify.Config, i, s.Certify.Criteria)
-		if err != nil {
-			return ShardResult{}, err
+		return func(i int) (ShardResult, error) {
+			r, err := harness.CertifyEpisode(ctx, s.Certify.Config, i, s.Certify.Criteria)
+			return ShardResult{Episode: &r}, err
 		}
-		ep := wireEpisodeOf(r, s.Certify.Criteria)
-		return ShardResult{Episode: &ep}, nil
 	case KindExplore:
-		p, err := s.Explore.Plans[i].Plan()
-		if err != nil {
-			return ShardResult{}, err
+		return func(i int) (ShardResult, error) {
+			r, err := harness.ExplorePlan(ctx, s.Explore.Engine, s.Explore.Plans[i], s.Explore.Config)
+			return ShardResult{Explore: &r}, err
 		}
-		r, err := harness.ExplorePlanCtx(ctx, s.Explore.Engine, p, s.Explore.Config)
-		if err != nil {
-			return ShardResult{}, err
-		}
-		w := WireExploreOf(r)
-		return ShardResult{Explore: &w}, nil
 	case KindCheck:
-		h, err := histio.ParseString(s.Check.Histories[i])
-		if err != nil {
-			return ShardResult{}, err
-		}
 		opts := []spec.Option{spec.WithNodeLimit(s.Check.NodeLimit)}
+		if s.Check.Portfolio > 1 {
+			opts = append(opts, spec.WithParallelism(s.Check.Portfolio))
+		}
 		if ctx != nil {
 			opts = append(opts, spec.WithContext(ctx))
 		}
-		vs := make([]WireVerdict, len(s.Check.Criteria))
-		for j, c := range s.Check.Criteria {
-			vs[j] = WireVerdictOf(spec.Check(h, c, opts...))
+		return func(i int) (ShardResult, error) {
+			vs := make([]spec.Verdict, len(s.Check.Criteria))
+			for j, c := range s.Check.Criteria {
+				vs[j] = spec.Check(s.Check.Histories[i].History, c, opts...)
+			}
+			return ShardResult{Check: vs}, nil
 		}
-		return ShardResult{Check: vs}, nil
 	case KindSoak:
-		cell, err := runSoakCell(s.Soak.Config, soakTasks(s.Soak.Config)[i])
-		if err != nil {
-			return ShardResult{}, err
+		return func(i int) (ShardResult, error) {
+			cell, err := runSoakCell(s.Soak.Config, soakTasks(s.Soak.Config)[i])
+			return ShardResult{Soak: &cell}, err
 		}
-		w := WireSoakCellOf(cell)
-		return ShardResult{Soak: &w}, nil
 	}
-	return ShardResult{}, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
+	return func(int) (ShardResult, error) {
+		return ShardResult{}, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
+	}
 }
 
-// DegradedShard builds the explicit degradation artifact for a shard
-// that could not be computed — a worker dead past its lease retries, or
-// a drain with the shard still outstanding. It reuses the PR 7 shapes:
-// certify episodes become harness.DegradedEpisode, explorations a
-// BudgetExhausted report with DegradedReason, check rows degraded
-// undecided verdicts, soak cells a Degraded cell. Folding a degraded
-// shard always surfaces in the report (CertStats.Degraded,
-// SoakResult.Degraded, per-report DegradedReason) — never a silent drop.
+// DegradedShard builds the explicit undecided artifact for a shard that
+// could not be computed — one that panicked past its retries, or whose
+// certd worker died past its lease retries or was drained. It always
+// surfaces in the folded report (CertStats.Degraded, SoakResult.Degraded,
+// ExploreReport.DegradedReason, "degraded: " verdicts), never a silent
+// drop.
 func (s JobSpec) DegradedShard(i int, reason string) ShardResult {
 	res := ShardResult{Degraded: reason}
 	switch s.Kind {
 	case KindCertify:
-		ep := wireEpisodeOf(harness.DegradedEpisode(s.Certify.Criteria, reason), s.Certify.Criteria)
+		ep := harness.DegradedEpisode(s.Certify.Criteria, reason)
 		res.Episode = &ep
 	case KindExplore:
-		w := WireExplore{
+		res.Explore = &harness.ExploreReport{
 			Engine:         s.Explore.Engine,
 			Criterion:      s.Explore.Config.Criterion,
 			Plan:           s.Explore.Plans[i],
-			Outcome:        uint8(harness.BudgetExhausted),
+			Outcome:        harness.BudgetExhausted,
 			DegradedReason: reason,
 		}
-		res.Explore = &w
 	case KindCheck:
-		vs := make([]WireVerdict, len(s.Check.Criteria))
+		res.Check = make([]spec.Verdict, len(s.Check.Criteria))
 		for j, c := range s.Check.Criteria {
-			vs[j] = WireVerdict{Criterion: c, Undecided: true, Reason: "degraded: " + reason}
+			res.Check[j] = spec.Verdict{Criterion: c, Undecided: true, Reason: "degraded: " + reason}
 		}
-		res.Check = vs
 	case KindSoak:
-		t := soakTasks(s.Soak.Config)[i]
-		w := WireSoakCell{Engine: t.engine, Round: t.round, Probe: t.probe, Degraded: reason}
-		res.Soak = &w
+		cell := s.Soak.Config.newCell(soakTasks(s.Soak.Config)[i])
+		cell.Degraded = reason
+		res.Soak = &cell
 	}
 	return res
 }
 
-// JobReport is the folded outcome of a distributed job; the field
-// matching the kind is set. Check rows keep the wire verdict form (the
-// structural witness stays on the worker); their String renderings match
-// the in-process CheckBatch verdicts exactly.
+// JobReport is the folded outcome of a job; the field matching the kind
+// is set.
 type JobReport struct {
-	Kind     ShardKind               `json:"kind"`
-	Certify  *harness.CertStats      `json:"certify,omitempty"`
-	Explore  []harness.ExploreReport `json:"-"`
-	Check    [][]WireVerdict         `json:"check,omitempty"`
-	Soak     *SoakResult             `json:"-"`
-	Degraded int                     `json:"degraded,omitempty"`
+	Kind     ShardKind
+	Certify  *harness.CertStats
+	Explore  []harness.ExploreReport
+	Check    [][]spec.Verdict
+	Soak     *SoakResult
+	Degraded int
 }
 
-// FoldJob aggregates shard results, given in shard order, exactly as the
-// in-process farm entry points do: certify results fold through
-// CertStats.AddEpisode in episode order, explorations and check rows
-// assemble in input order, soak cells run the same divergence extraction
-// and shrinking as Soak (jobs bounds the shrinking pool; shrinking is
-// the only compute FoldJob performs). results[i] == nil is rejected —
-// a missing shard must be degraded explicitly, not skipped.
+// folder aggregates shard results, given in shard order, into a
+// JobReport; certify episodes fold into running statistics.
+type folder struct {
+	s     JobSpec
+	rep   JobReport
+	cells []SoakCell
+}
+
+func newFolder(s JobSpec) *folder {
+	f := &folder{s: s, rep: JobReport{Kind: s.Kind}}
+	switch s.Kind {
+	case KindCertify:
+		stats := harness.NewCertStats(s.Certify.Config.Workload.Engine)
+		f.rep.Certify = &stats
+	case KindExplore:
+		f.rep.Explore = make([]harness.ExploreReport, 0, s.NumShards())
+	case KindCheck:
+		f.rep.Check = make([][]spec.Verdict, 0, s.NumShards())
+	}
+	return f
+}
+
+// add folds the result of shard i, the next shard in order.
+func (f *folder) add(i int, r ShardResult) error {
+	if r.Degraded != "" {
+		f.rep.Degraded++
+	}
+	switch {
+	case f.s.Kind == KindCertify && r.Episode != nil:
+		f.rep.Certify.AddEpisode(f.s.Certify.Criteria, *r.Episode)
+	case f.s.Kind == KindExplore && r.Explore != nil:
+		f.rep.Explore = append(f.rep.Explore, *r.Explore)
+	case f.s.Kind == KindCheck && r.Check != nil:
+		f.rep.Check = append(f.rep.Check, r.Check)
+	case f.s.Kind == KindSoak && r.Soak != nil:
+		f.cells = append(f.cells, *r.Soak)
+	default:
+		return fmt.Errorf("checkfarm: fold: shard %d carries no %s result", i, f.s.Kind)
+	}
+	return nil
+}
+
+// finish completes the report; soak divergences are shrunk here over
+// jobs workers.
+func (f *folder) finish(ctx context.Context, jobs int) (*JobReport, error) {
+	if f.s.Kind == KindSoak {
+		res, err := foldSoak(ctx, f.s.Soak.Config, f.cells, jobs)
+		if err != nil {
+			return nil, err
+		}
+		f.rep.Soak = res
+	}
+	return &f.rep, nil
+}
+
+// restoreWitnesses rebuilds the witnesses of a decoded shard result,
+// which name only an order and commit decisions, into full sequential
+// histories over the history each verdict judged. A certify episode's
+// history does not travel, so its witnesses are dropped.
+func restoreWitnesses(s JobSpec, i int, r *ShardResult) (err error) {
+	restore := func(v spec.Verdict, h *history.History) spec.Verdict {
+		switch {
+		case v.Serialization == nil || err != nil:
+		case h == nil:
+			v.Serialization = nil
+		default:
+			v.Serialization, err = v.Serialization.InHistory(h)
+		}
+		return v
+	}
+	switch {
+	case s.Kind == KindCheck:
+		for j, v := range r.Check {
+			r.Check[j] = restore(v, s.Check.Histories[i].History)
+		}
+	case s.Kind == KindSoak && r.Soak != nil:
+		for c, v := range r.Soak.Verdicts {
+			r.Soak.Verdicts[c] = restore(v, r.Soak.History.History)
+		}
+	case s.Kind == KindCertify && r.Episode != nil:
+		for c, v := range r.Episode.Verdicts {
+			r.Episode.Verdicts[c] = restore(v, nil)
+		}
+	case s.Kind == KindExplore && r.Explore != nil && r.Explore.Violation != nil:
+		v := r.Explore.Violation
+		v.Verdict = restore(v.Verdict, v.History.History)
+	}
+	return err
+}
+
+// FoldJob aggregates the results of a normalized spec's shards, given in
+// shard order — the coordinator side of a distributed job, whose results
+// crossed the wire as JSON (see restoreWitnesses). jobs bounds
+// the soak shrinking pool. results[i] == nil is rejected: a missing
+// shard must be degraded explicitly, not skipped.
 func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (*JobReport, error) {
 	if len(results) != s.NumShards() {
 		return nil, fmt.Errorf("checkfarm: fold wants %d results, got %d", s.NumShards(), len(results))
 	}
-	rep := &JobReport{Kind: s.Kind}
+	f := newFolder(s)
 	for i, r := range results {
 		if r == nil {
 			return nil, fmt.Errorf("checkfarm: fold: missing result for shard %d (degrade it explicitly)", i)
 		}
-		if r.Degraded != "" {
-			rep.Degraded++
+		if err := restoreWitnesses(s, i, r); err != nil {
+			return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
 		}
-	}
-	switch s.Kind {
-	case KindCertify:
-		stats := harness.NewCertStats(s.Certify.Config.Workload.Engine)
-		for i, r := range results {
-			if r.Episode == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no episode", i)
-			}
-			stats.AddEpisode(s.Certify.Criteria, r.Episode.Report())
-		}
-		rep.Certify = &stats
-	case KindExplore:
-		reports := make([]harness.ExploreReport, len(results))
-		for i, r := range results {
-			if r.Explore == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no exploration", i)
-			}
-			er, err := r.Explore.Report()
-			if err != nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
-			}
-			reports[i] = er
-		}
-		rep.Explore = reports
-	case KindCheck:
-		rows := make([][]WireVerdict, len(results))
-		for i, r := range results {
-			if r.Check == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no verdicts", i)
-			}
-			rows[i] = r.Check
-		}
-		rep.Check = rows
-	case KindSoak:
-		cells := make([]SoakCell, len(results))
-		for i, r := range results {
-			if r.Soak == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no cell", i)
-			}
-			cell, err := r.Soak.Cell(s.Soak.Config)
-			if err != nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
-			}
-			cells[i] = cell
-		}
-		res, err := foldSoak(ctx, s.Soak.Config, cells, jobs)
-		if err != nil {
+		if err := f.add(i, *r); err != nil {
 			return nil, err
 		}
-		rep.Soak = res
-	default:
-		return nil, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
 	}
-	return rep, nil
+	return f.finish(ctx, jobs)
+}
+
+// streamJob runs the shards of a normalized spec in process over jobs
+// workers, each under runProtected's crash containment (DegradedShard
+// past its retries), and hands the results to emit in shard order
+// through streamOrdered's bounded reorder window, so a certification's
+// memory stays O(jobs) however many episodes it has.
+func streamJob(ctx context.Context, s JobSpec, jobs int, emit func(i int, r ShardResult) error) error {
+	run := protect(ctx, s.shardRunner(ctx), func(i int, pe *ShardPanicError) ShardResult {
+		return s.DegradedShard(i, pe.Error())
+	})
+	return streamOrdered(ctx, s.NumShards(), jobs, run, emit)
+}
+
+// runJob normalizes s, runs it in process and folds it in memory; jobs
+// <= 0 uses GOMAXPROCS.
+func runJob(ctx context.Context, s JobSpec, jobs int) (*JobReport, error) {
+	s, err := s.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	f := newFolder(s)
+	if err := streamJob(ctx, s, jobs, f.add); err != nil {
+		return nil, err
+	}
+	return f.finish(ctx, jobs)
 }
 
 // FormatJobReport renders the folded report with the same formatters the

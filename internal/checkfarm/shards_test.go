@@ -3,13 +3,13 @@ package checkfarm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
-	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -105,12 +105,8 @@ func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 		stm.MustParsePlan("w0 | r0 r1\nw1"),
 		stm.MustParsePlan("r0 w1\nr1 w0"),
 	}
-	wire := make([]WirePlan, len(plans))
-	for i, p := range plans {
-		wire[i] = WirePlanOf(p)
-	}
 	s := mustNormalize(t, JobSpec{Kind: KindExplore, Explore: &ExploreJob{
-		Engine: "gl", Plans: wire, Config: harness.ExploreConfig{},
+		Engine: "gl", Plans: plans, Config: harness.ExploreConfig{},
 	}})
 
 	local, err := ExplorePlans(context.Background(), "gl", plans, harness.ExploreConfig{}, 2)
@@ -143,19 +139,12 @@ func TestFoldMatchesLocalFarmCheck(t *testing.T) {
 		"inv write 1 X 5\nres write 1 X 5 ok\nread 2 X 5\ncommit 2\ncommit 1\n",
 	}
 	criteria := []spec.Criterion{spec.DUOpacity, spec.Serializability}
+	hs := mustParse(t, histories...)
 	s := mustNormalize(t, JobSpec{Kind: KindCheck, Check: &CheckJob{
-		Histories: histories, Criteria: criteria, NodeLimit: 200_000,
+		Histories: hs, Criteria: criteria, NodeLimit: 200_000,
 	}})
 
-	hs := make([]*history.History, len(histories))
-	for i, src := range histories {
-		h, err := histio.ParseString(src)
-		if err != nil {
-			t.Fatalf("parse history %d: %v", i, err)
-		}
-		hs[i] = h
-	}
-	local, err := CheckBatch(context.Background(), hs, criteria, 2, spec.WithNodeLimit(200_000))
+	local, err := CheckBatch(context.Background(), CheckJob{Histories: hs, Criteria: criteria, NodeLimit: 200_000}, 2)
 	if err != nil {
 		t.Fatalf("local CheckBatch: %v", err)
 	}
@@ -165,15 +154,47 @@ func TestFoldMatchesLocalFarmCheck(t *testing.T) {
 		t.Fatalf("remote fold has %d rows, local %d", len(rep.Check), len(local))
 	}
 	for i := range local {
+		var got, want strings.Builder
 		for j := range local[i] {
-			if got, want := rep.Check[i][j].String(), local[i][j].String(); got != want {
-				t.Fatalf("history %d criterion %d: remote %q, local %q", i, j, got, want)
+			fmt.Fprintln(&got, rep.Check[i][j])
+			fmt.Fprintln(&want, local[i][j])
+			// The fold restores every remote witness to the full
+			// sequential history: the local one, and for du-opacity one
+			// that the search-free verifier accepts.
+			rv := rep.Check[i][j]
+			if !rv.OK {
+				continue
 			}
+			if rv.Serialization == nil || !reflect.DeepEqual(rv.Serialization, local[i][j].Serialization) {
+				t.Fatalf("history %d criterion %s: remote witness %v, local %v", i, criteria[j], rv.Serialization, local[i][j].Serialization)
+			}
+			if criteria[j] == spec.DUOpacity {
+				if err := spec.VerifySerialization(hs[i].History, rv.Serialization); err != nil {
+					t.Fatalf("history %d: remote du-opacity witness fails verification: %v", i, err)
+				}
+			}
+		}
+		if got.String() != want.String() {
+			t.Fatalf("history %d: remote row\n%s\nlocal row\n%s", i, got.String(), want.String())
 		}
 	}
 	if local[1][0].OK {
 		t.Fatalf("sanity: the early-read history should violate du-opacity")
 	}
+}
+
+// mustParse parses histories in the histio text format.
+func mustParse(t *testing.T, srcs ...string) []histio.Text {
+	t.Helper()
+	hs := make([]histio.Text, len(srcs))
+	for i, src := range srcs {
+		h, err := histio.ParseString(src)
+		if err != nil {
+			t.Fatalf("parse history %d: %v", i, err)
+		}
+		hs[i].History = h
+	}
+	return hs
 }
 
 func TestFoldMatchesLocalFarmSoak(t *testing.T) {
@@ -200,6 +221,19 @@ func TestFoldMatchesLocalFarmSoak(t *testing.T) {
 	got := FormatJobReport(s, rep)
 	if got != want {
 		t.Fatalf("formatted soak reports differ:\nlocal:\n%s\nremote:\n%s", want, got)
+	}
+	// The fold restores each cell's witnesses over the cell's history.
+	verified := 0
+	for i, cell := range rep.Soak.Cells {
+		if v := cell.Verdicts[spec.DUOpacity]; v.OK {
+			if err := spec.VerifySerialization(cell.History.History, v.Serialization); err != nil {
+				t.Fatalf("cell %d: remote du-opacity witness fails verification: %v", i, err)
+			}
+			verified++
+		}
+	}
+	if verified == 0 {
+		t.Fatalf("sanity: no remote cell accepted du-opacity")
 	}
 }
 
@@ -248,7 +282,7 @@ func TestDegradedShardFold(t *testing.T) {
 
 	t.Run("explore", func(t *testing.T) {
 		s := mustNormalize(t, JobSpec{Kind: KindExplore, Explore: &ExploreJob{
-			Engine: "gl", Plans: []WirePlan{WirePlanOf(stm.MustParsePlan("w0\nr0"))},
+			Engine: "gl", Plans: []stm.Plan{stm.MustParsePlan("w0\nr0")},
 		}})
 		r := s.DegradedShard(0, "worker lost")
 		rep, err := FoldJob(context.Background(), s, []*ShardResult{&r}, 1)
@@ -266,7 +300,7 @@ func TestDegradedShardFold(t *testing.T) {
 
 	t.Run("check", func(t *testing.T) {
 		s := mustNormalize(t, JobSpec{Kind: KindCheck, Check: &CheckJob{
-			Histories: []string{"write 1 X 1\ncommit 1\n"},
+			Histories: mustParse(t, "write 1 X 1\ncommit 1\n"),
 			Criteria:  criteria,
 		}})
 		r := s.DegradedShard(0, "worker lost")
@@ -315,7 +349,7 @@ func TestDegradedShardFold(t *testing.T) {
 // silent skip — missing shards are degraded explicitly by the caller.
 func TestFoldRejectsMissingResult(t *testing.T) {
 	s := mustNormalize(t, JobSpec{Kind: KindCheck, Check: &CheckJob{
-		Histories: []string{"commit 1\n"}, Criteria: []spec.Criterion{spec.DUOpacity},
+		Histories: mustParse(t, "commit 1\n"), Criteria: []spec.Criterion{spec.DUOpacity},
 	}})
 	if _, err := FoldJob(context.Background(), s, []*ShardResult{nil}, 1); err == nil {
 		t.Fatalf("FoldJob accepted a missing result")
@@ -333,8 +367,8 @@ func TestJobSpecNormalizeIdempotent(t *testing.T) {
 			Config:   harness.CertConfig{Workload: harness.Workload{Engine: "tl2"}},
 			Criteria: []spec.Criterion{spec.DUOpacity},
 		}},
-		{Kind: KindExplore, Explore: &ExploreJob{Engine: "gl", Plans: []WirePlan{WirePlanOf(stm.MustParsePlan("w0\nr0"))}}},
-		{Kind: KindCheck, Check: &CheckJob{Histories: []string{"commit 1\n"}, Criteria: []spec.Criterion{spec.Opacity}}},
+		{Kind: KindExplore, Explore: &ExploreJob{Engine: "gl", Plans: []stm.Plan{stm.MustParsePlan("w0\nr0")}}},
+		{Kind: KindCheck, Check: &CheckJob{Histories: mustParse(t, "commit 1\n"), Criteria: []spec.Criterion{spec.Opacity}}},
 		{Kind: KindSoak, Soak: &SoakJob{Config: SoakConfig{Rounds: 1}}},
 	}
 	for _, s := range specs {
@@ -361,14 +395,14 @@ func TestJobSpecNormalizeIdempotent(t *testing.T) {
 }
 
 func TestJobSpecValidation(t *testing.T) {
-	okPlan := []WirePlan{WirePlanOf(stm.MustParsePlan("w0\nr0"))}
+	okPlan := []stm.Plan{stm.MustParsePlan("w0\nr0")}
 	bad := []JobSpec{
 		{Kind: "nope"},
 		{Kind: KindCertify},
 		{Kind: KindCertify, Certify: &CertifyJob{}},
 		{Kind: KindExplore, Explore: &ExploreJob{Engine: "gl"}},
-		{Kind: KindExplore, Explore: &ExploreJob{Engine: "gl", Plans: []WirePlan{{Text: "x9q"}}}},
-		{Kind: KindCheck, Check: &CheckJob{Histories: []string{"not a history !!"}, Criteria: []spec.Criterion{spec.DUOpacity}}},
+		{Kind: KindExplore, Explore: &ExploreJob{Engine: "gl", Plans: []stm.Plan{{Objects: 1}}}},
+		{Kind: KindCheck, Check: &CheckJob{Histories: []histio.Text{{}}, Criteria: []spec.Criterion{spec.DUOpacity}}},
 		{Kind: KindSoak},
 		// Engine names go through the shared engine[+cm] parser: unknown
 		// bases, unknown CM suffixes and CM suffixes on CM-incapable
@@ -386,6 +420,17 @@ func TestJobSpecValidation(t *testing.T) {
 			t.Errorf("case %d (%s): Normalize accepted an invalid spec", i, s.Kind)
 		}
 	}
+	// Plans and histories parse as they are decoded, so bad text fails
+	// the JSON decode with an explicit error.
+	for _, src := range []string{
+		`{"kind":"explore","explore":{"engine":"gl","plans":[{"objects":1,"text":"x9q"}]}}`,
+		`{"kind":"check","check":{"histories":["not a history !!"],"criteria":["du"]}}`,
+	} {
+		var s JobSpec
+		if err := json.Unmarshal([]byte(src), &s); err == nil {
+			t.Errorf("decoded an invalid spec: %s", src)
+		}
+	}
 }
 
 // TestJobSpecAcceptsEngineCMMatrix: every engine[+cm] matrix cell is a
@@ -393,7 +438,7 @@ func TestJobSpecValidation(t *testing.T) {
 func TestJobSpecAcceptsEngineCMMatrix(t *testing.T) {
 	for _, name := range engines.Matrix() {
 		s := JobSpec{Kind: KindExplore, Explore: &ExploreJob{
-			Engine: name, Plans: []WirePlan{WirePlanOf(stm.MustParsePlan("w0\nr0"))},
+			Engine: name, Plans: []stm.Plan{stm.MustParsePlan("w0\nr0")},
 		}}
 		if _, err := s.Normalize(); err != nil {
 			t.Errorf("%s: %v", name, err)

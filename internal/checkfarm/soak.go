@@ -13,14 +13,21 @@ import (
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
+	"duopacity/internal/stm/engines"
 )
 
 // SoakEngines is the default engine set of the differential soak: every
-// registered engine family (the validating etl variant is covered by the
-// base etl knob and can be added explicitly), including the
-// parallel-certification pdur engine.
+// engine family of the engines registry, including the
+// parallel-certification pdur engine. The validating etl variant (etl+v)
+// is covered by the base etl knob and can be added explicitly.
 func SoakEngines() []string {
-	return []string{"gl", "ple", "norec", "tl2", "etl", "dstm", "pdur"}
+	var names []string
+	for _, n := range engines.Names() {
+		if n != "etl+v" {
+			names = append(names, n)
+		}
+	}
+	return names
 }
 
 // SoakEngineMatrix is the extended soak grid: the engine families plus a
@@ -114,12 +121,12 @@ type SoakCell struct {
 	// Skipped is set when the recorded history exceeded MaxTxns.
 	Skipped  bool
 	Verdicts map[spec.Criterion]spec.Verdict
-	History  *history.History
-	// Degraded is set when the cell could not be observed at all — under
-	// distributed execution (internal/certd), a worker that died past its
-	// lease retries. A degraded cell is excluded from the per-criterion
-	// counts like a skipped one, but the degradation is always reported,
-	// never a silent drop (the PR 7 contract).
+	History  histio.Text
+	// Degraded is set when the cell could not be observed at all: it
+	// panicked past its retries, or (under internal/certd) its worker died
+	// past its lease retries. A degraded cell is excluded from the
+	// per-criterion counts like a skipped one, but the degradation is
+	// always reported, never a silent drop.
 	Degraded string
 }
 
@@ -146,8 +153,9 @@ type SoakResult struct {
 	// Accepted/Rejected/Undecided count decided cells per engine and
 	// criterion (skipped cells excluded).
 	Accepted, Rejected, Undecided map[string]map[spec.Criterion]int
-	// Degraded counts cells lost to dead workers under distributed
-	// execution; always 0 for the in-process farm.
+	// Degraded counts cells that could not be observed: in process, a
+	// cell that panicked past its retries; under certd, a worker dead
+	// past its lease retries.
 	Degraded int
 }
 
@@ -189,15 +197,21 @@ func soakTasks(cfg SoakConfig) []soakTask {
 	return tasks
 }
 
+// newCell is the unobserved cell of a task: its identity and workload.
+func (c SoakConfig) newCell(t soakTask) SoakCell {
+	w := c.roundWorkload(t.round)
+	w.Engine = t.engine
+	return SoakCell{Engine: t.engine, Round: t.round, Probe: t.probe, Workload: w}
+}
+
 // runSoakCell observes one cell: run the task's workload (recorded or
 // interleaved probe) and check the recorded history against every
 // criterion. It is the pure compute unit of the soak — a function of
 // (defaulted config, task) with no shared state — which is what lets a
 // certd worker run it on another machine.
 func runSoakCell(cfg SoakConfig, t soakTask) (SoakCell, error) {
-	w := cfg.roundWorkload(t.round)
-	w.Engine = t.engine
-	cell := SoakCell{Engine: t.engine, Round: t.round, Probe: t.probe, Workload: w}
+	cell := cfg.newCell(t)
+	w := cell.Workload
 	var (
 		h    *history.History
 		rerr error
@@ -210,7 +224,7 @@ func runSoakCell(cfg SoakConfig, t soakTask) (SoakCell, error) {
 	if rerr != nil {
 		return cell, fmt.Errorf("checkfarm: soak %s round %d: %w", t.engine, t.round, rerr)
 	}
-	cell.History = h
+	cell.History = histio.Text{History: h}
 	if h.NumTxns() > cfg.MaxTxns {
 		cell.Skipped = true
 		return cell, nil
@@ -226,32 +240,22 @@ func runSoakCell(cfg SoakConfig, t soakTask) (SoakCell, error) {
 // Soak runs the differential soak: every engine under every criterion over
 // the randomized workload grid, cells sharded across jobs workers. Each
 // violating history is shrunk to a minimal counterexample before being
-// recorded as a divergence. jobs <= 0 uses GOMAXPROCS.
+// recorded as a divergence. A cell that panics past its retries degrades
+// (SoakResult.Degraded) instead of failing the soak. jobs <= 0 uses
+// GOMAXPROCS.
 func Soak(ctx context.Context, cfg SoakConfig, jobs int) (*SoakResult, error) {
-	cfg = cfg.withDefaults()
-	tasks := soakTasks(cfg)
-	cells := make([]SoakCell, len(tasks))
-	err := shard(ctx, len(tasks), jobs, func(i int) error {
-		cell, cerr := runSoakCell(cfg, tasks[i])
-		if cerr != nil {
-			return cerr
-		}
-		cells[i] = cell
-		return nil
-	})
+	rep, err := runJob(ctx, JobSpec{Kind: KindSoak, Soak: &SoakJob{Config: cfg}}, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return foldSoak(ctx, cfg, cells, jobs)
+	return rep.Soak, nil
 }
 
 // foldSoak aggregates observed cells into the soak result: per-criterion
 // counts, divergence extraction, and greedy shrinking of each divergent
-// history. It is the fold entry point of the soak — given the cells in
-// canonical task order (however they were computed: the in-process shard
-// pool or certd workers), it reproduces Soak's aggregation byte for
-// byte. cfg must be the same (defaulted) config the cells were computed
-// under, since shrinking re-checks with the soak's node limit.
+// history, given the cells in canonical task order. cfg must be the same
+// (defaulted) config the cells were computed under, since shrinking
+// re-checks with the soak's node limit.
 func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (*SoakResult, error) {
 	checkOpts := cfg.checkOpts()
 	res := &SoakResult{
@@ -300,7 +304,7 @@ func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (
 			Round:     cell.Round,
 			Probe:     cell.Probe,
 			Criterion: target,
-			History:   cell.History,
+			History:   cell.History.History,
 		}
 		for _, c := range cfg.Criteria {
 			v := cell.Verdicts[c]
@@ -317,7 +321,7 @@ func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (
 		// minimal history demonstrates the same separation (not merely
 		// some violation of the target — a plain sourceless read would
 		// satisfy that and lose the divergence).
-		d.Minimal = gen.Shrink(cell.History, func(g *history.History) bool {
+		d.Minimal = gen.Shrink(cell.History.History, func(g *history.History) bool {
 			for _, c := range d.Accepted {
 				if v := spec.Check(g, c, checkOpts...); !v.OK {
 					return false
@@ -362,7 +366,7 @@ func FormatSoakReport(cfg SoakConfig, res *SoakResult) string {
 	fmt.Fprintf(&b, "differential soak: %d engines x %d criteria, %d cells (%d divergent)\n",
 		len(cfg.Engines), len(cfg.Criteria), len(res.Cells), len(res.Divergences))
 	if res.Degraded > 0 {
-		fmt.Fprintf(&b, "%d cell(s) degraded: lost to dead workers, excluded from the counts below\n", res.Degraded)
+		fmt.Fprintf(&b, "%d cell(s) degraded: lost to crashed or dead workers, excluded from the counts below\n", res.Degraded)
 	}
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "engine")

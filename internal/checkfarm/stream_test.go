@@ -13,6 +13,16 @@ import (
 	"duopacity/internal/spec"
 )
 
+// certifyStream runs a certification on the farm's execution path and
+// hands each episode report to emit in episode order.
+func certifyStream(ctx context.Context, cfg harness.CertConfig, criteria []spec.Criterion, jobs int, emit func(ep int, r harness.EpisodeReport) error) error {
+	s, err := JobSpec{Kind: KindCertify, Certify: &CertifyJob{Config: cfg, Criteria: criteria}}.Normalize()
+	if err != nil {
+		return err
+	}
+	return streamJob(ctx, s, jobs, func(ep int, r ShardResult) error { return emit(ep, *r.Episode) })
+}
+
 func streamTestConfig(episodes int) harness.CertConfig {
 	return harness.CertConfig{
 		Workload: harness.Workload{
@@ -44,7 +54,7 @@ func TestCertifyStreamOrdered(t *testing.T) {
 	for _, jobs := range []int{1, 3, 8} {
 		got := harness.NewCertStats(cfg.Workload.Engine)
 		seen := 0
-		err := CertifyStream(context.Background(), cfg, criteria, jobs, func(ep int, r harness.EpisodeReport) error {
+		err := certifyStream(context.Background(), cfg, criteria, jobs, func(ep int, r harness.EpisodeReport) error {
 			if ep != seen {
 				t.Fatalf("jobs=%d: episode %d emitted out of order (want %d)", jobs, ep, seen)
 			}
@@ -72,7 +82,7 @@ func TestCertifyStreamEmitError(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity}
 	boom := errors.New("boom")
 	emitted := 0
-	err := CertifyStream(context.Background(), cfg, criteria, 4, func(ep int, _ harness.EpisodeReport) error {
+	err := certifyStream(context.Background(), cfg, criteria, 4, func(ep int, _ harness.EpisodeReport) error {
 		emitted++
 		if ep == 5 {
 			return boom
@@ -92,7 +102,7 @@ func TestCertifyStreamContextCancel(t *testing.T) {
 	cfg := streamTestConfig(64)
 	criteria := []spec.Criterion{spec.DUOpacity}
 	ctx, cancel := context.WithCancel(context.Background())
-	err := CertifyStream(ctx, cfg, criteria, 4, func(ep int, _ harness.EpisodeReport) error {
+	err := certifyStream(ctx, cfg, criteria, 4, func(ep int, _ harness.EpisodeReport) error {
 		if ep == 3 {
 			cancel()
 		}
@@ -198,7 +208,7 @@ func TestCertifyStreamLargeWindow(t *testing.T) {
 	cfg := streamTestConfig(100)
 	criteria := []spec.Criterion{spec.DUOpacity}
 	last := -1
-	err := CertifyStream(context.Background(), cfg, criteria, 0, func(ep int, _ harness.EpisodeReport) error {
+	err := certifyStream(context.Background(), cfg, criteria, 0, func(ep int, _ harness.EpisodeReport) error {
 		if ep != last+1 {
 			return fmt.Errorf("gap: %d after %d", ep, last)
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
@@ -172,7 +173,7 @@ type ExploreViolation struct {
 	// History is the recorded history at the moment the monitor latched
 	// (the violating prefix; prefix closure makes every extension
 	// violating too).
-	History *history.History
+	History histio.Text
 	// Verdict is the monitor's latched verdict, with the refutation
 	// reason.
 	Verdict spec.Verdict
@@ -231,16 +232,12 @@ type ExploreReport struct {
 // exhausted violation-free, ViolationFound with the pinned causing
 // schedule, or BudgetExhausted with frontier statistics. See the file
 // comment for what the quantifier does and does not cover.
-func ExplorePlan(engine string, p stm.Plan, cfg ExploreConfig) (ExploreReport, error) {
-	return ExplorePlanCtx(context.Background(), engine, p, cfg)
-}
-
-// ExplorePlanCtx is ExplorePlan with cancellation: the context is checked
-// between replays and propagated into every monitor check
-// (spec.WithContext), so a farm deadline stops even a pathological
-// exploration promptly. Cancellation surfaces as Outcome BudgetExhausted
-// with DegradedReason set — an honest undecided result.
-func ExplorePlanCtx(ctx context.Context, engine string, p stm.Plan, cfg ExploreConfig) (ExploreReport, error) {
+//
+// The context is checked between replays and propagated into every
+// monitor check (spec.WithContext), so a farm deadline stops even a
+// pathological exploration promptly. Cancellation surfaces as Outcome
+// BudgetExhausted with DegradedReason set — an honest undecided result.
+func ExplorePlan(ctx context.Context, engine string, p stm.Plan, cfg ExploreConfig) (ExploreReport, error) {
 	if err := p.Validate(); err != nil {
 		return ExploreReport{}, err
 	}
@@ -541,7 +538,7 @@ func (e *explorer) recordViolation(rec *recorder.Recorder, m *spec.Monitor, latc
 	if e.rep.Violation == nil {
 		e.rep.Violation = &ExploreViolation{
 			Schedule: append([]int(nil), e.sched...),
-			History:  rec.History(),
+			History:  histio.Text{History: rec.History()},
 			Verdict:  m.Verdict(),
 			At:       latchAt,
 		}

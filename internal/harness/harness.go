@@ -401,8 +401,9 @@ type EpisodeReport struct {
 	// Verdicts holds one verdict per requested criterion (nil when
 	// Skipped).
 	Verdicts map[spec.Criterion]spec.Verdict
-	// History is the recorded episode (also set when Skipped).
-	History *history.History
+	// History is the recorded episode (also set when Skipped). Folding
+	// never reads it, so it stays out of the JSON form.
+	History *history.History `json:"-"`
 	// Degraded is set when the episode could not be certified for an
 	// exceptional reason (under checkfarm.Certify: the episode's shard
 	// panicked past its retries); Verdicts then holds an undecided verdict
@@ -427,16 +428,11 @@ func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
 // checks it against the criteria. Episodes are independent: each runs on a
 // fresh engine with a seed derived only from cfg.Seed and ep, so they can
 // be evaluated in any order (or concurrently) and folded with AddEpisode.
-// Call cfg.WithDefaults first when bypassing Certify.
-func CertifyEpisode(cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
-	return CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
-}
-
-// CertifyEpisodeCtx is CertifyEpisode with cancellation threaded into the
-// exact checks (spec.WithContext) — and, with cfg.Explore, into the
-// exploration — so a farm deadline stops even a pathological search
-// promptly with an undecided verdict.
-func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
+// Call cfg.WithDefaults first when bypassing Certify. Cancellation is
+// threaded into the exact checks (spec.WithContext) — and, with
+// cfg.Explore, into the exploration — so a farm deadline stops even a
+// pathological search promptly with an undecided verdict.
+func CertifyEpisode(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
 	if cfg.Explore {
@@ -487,7 +483,7 @@ func exploreEpisode(ctx context.Context, cfg CertConfig, w Workload, criteria []
 	p := planFor(w)
 	r := EpisodeReport{Verdicts: make(map[spec.Criterion]spec.Verdict, len(criteria))}
 	for _, c := range criteria {
-		er, err := ExplorePlanCtx(ctx, w.Engine, p, ExploreConfig{
+		er, err := ExplorePlan(ctx, w.Engine, p, ExploreConfig{
 			Criterion:            c,
 			MaxAttempts:          maxAttempts,
 			MaxSchedules:         cfg.ExploreBudget,
@@ -504,7 +500,7 @@ func exploreEpisode(ctx context.Context, cfg CertConfig, w Workload, criteria []
 		case ViolationFound:
 			v.Reason = fmt.Sprintf("schedule %v: %s", er.Violation.Schedule, er.Violation.Verdict.Reason)
 			if r.History == nil {
-				r.History = er.Violation.History
+				r.History = er.Violation.History.History
 			}
 		default: // BudgetExhausted
 			v.Undecided = true
@@ -557,7 +553,7 @@ func Certify(cfg CertConfig, criteria []spec.Criterion) (CertStats, error) {
 	cfg = cfg.WithDefaults()
 	stats := NewCertStats(cfg.Workload.Engine)
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		r, err := CertifyEpisode(cfg, ep, criteria)
+		r, err := CertifyEpisode(context.Background(), cfg, ep, criteria)
 		if err != nil {
 			return stats, err
 		}

@@ -38,6 +38,7 @@ package histio
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -157,6 +158,29 @@ func Parse(r io.Reader) (*history.History, error) {
 // ParseString parses a history from a string.
 func ParseString(s string) (*history.History, error) {
 	return Parse(strings.NewReader(s))
+}
+
+// Text is a history inside a JSON document: it encodes as a JSON string
+// holding the history in this format, and a nil history as null.
+type Text struct{ *history.History }
+
+// MarshalJSON encodes the history as histio text.
+func (t Text) MarshalJSON() ([]byte, error) {
+	if t.History == nil {
+		return []byte("null"), nil
+	}
+	return json.Marshal(FormatString(t.History))
+}
+
+// UnmarshalJSON parses the history back; null leaves it nil.
+func (t *Text) UnmarshalJSON(b []byte) (err error) {
+	var src *string
+	if err = json.Unmarshal(b, &src); err != nil || src == nil {
+		t.History = nil
+		return err
+	}
+	t.History, err = ParseString(*src)
+	return err
 }
 
 func parseLine(f []string) ([]history.Event, error) {

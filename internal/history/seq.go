@@ -2,6 +2,7 @@ package history
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -78,6 +79,43 @@ func (s *Seq) String() string {
 	return b.String()
 }
 
+// MarshalText renders the serialization as String does: its order and
+// commit decisions.
+func (s *Seq) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads the rendering back. The text names only the order
+// and the commit decisions, so each transaction holds a single tryC step
+// carrying its outcome; InHistory restores the operations from the
+// history the witness serializes.
+func (s *Seq) UnmarshalText(text []byte) error {
+	fields := strings.Fields(string(text))
+	s.Txns = make([]SeqTxn, len(fields))
+	for i, f := range fields {
+		n := len(f)
+		if n < 3 || f[0] != 'T' || (f[n-1] != '+' && f[n-1] != '-') {
+			return fmt.Errorf("history: bad serialization entry %q (want T<id>+ or T<id>-)", f)
+		}
+		id, err := strconv.Atoi(f[1 : n-1])
+		if err != nil || id < 0 {
+			return fmt.Errorf("history: bad transaction in serialization entry %q", f)
+		}
+		out := OutAbort
+		if f[n-1] == '+' {
+			out = OutCommit
+		}
+		s.Txns[i] = SeqTxn{ID: TxnID(id), Ops: []Op{{Kind: OpTryCommit, Out: out, InvIndex: -1, ResIndex: -1}}}
+	}
+	return nil
+}
+
+// InHistory materializes the order and commit decisions of s over h,
+// completed per Definition 2 as SeqFromHistory completes them; unlike
+// SeqFromHistory, s may order a subset of h's transactions, as the
+// serializability baselines' witnesses do.
+func (s *Seq) InHistory(h *History) (*Seq, error) {
+	return seqOver(h, s.Order(), func(pos int) bool { return s.Txns[pos].Committed() })
+}
+
 // IllegalReadError reports the first read that does not return the latest
 // written value in a sequential history.
 type IllegalReadError struct {
@@ -148,9 +186,16 @@ func SeqFromHistory(h *History, order []TxnID, commit map[TxnID]bool) (*Seq, err
 	if len(order) != h.NumTxns() {
 		return nil, fmt.Errorf("history: order has %d transactions, history has %d", len(order), h.NumTxns())
 	}
+	return seqOver(h, order, func(pos int) bool { return commit[order[pos]] })
+}
+
+// seqOver builds the transactions of h named by order, completed per
+// Definition 2, rejecting unknown and repeated ones; commit(pos) resolves
+// a pending tryC at order[pos].
+func seqOver(h *History, order []TxnID, commit func(pos int) bool) (*Seq, error) {
 	s := &Seq{Txns: make([]SeqTxn, 0, len(order))}
 	seen := make(map[TxnID]bool, len(order))
-	for _, k := range order {
+	for pos, k := range order {
 		t := h.Txn(k)
 		if t == nil {
 			return nil, fmt.Errorf("history: transaction T%d not in history", k)
@@ -166,7 +211,7 @@ func SeqFromHistory(h *History, order []TxnID, commit map[TxnID]bool) (*Seq, err
 		case t.CommitPending():
 			last := &ops[len(ops)-1]
 			last.Pending = false
-			if commit[k] {
+			if commit(pos) {
 				last.Out = OutCommit
 			} else {
 				last.Out = OutAbort

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -167,6 +168,34 @@ func ParsePlan(src string) (Plan, error) {
 		return Plan{}, err
 	}
 	return p, nil
+}
+
+// planJSON is the JSON form of a plan: its text plus the explicit object
+// count, which ParsePlan cannot infer for planned-but-untouched objects.
+type planJSON struct {
+	Objects int    `json:"objects"`
+	Text    string `json:"text"`
+}
+
+// MarshalJSON encodes the plan as {"objects": n, "text": "..."}.
+func (p Plan) MarshalJSON() ([]byte, error) {
+	return json.Marshal(planJSON{Objects: p.Objects, Text: p.String()})
+}
+
+// UnmarshalJSON parses the text with ParsePlan and widens Objects to the
+// encoded count.
+func (p *Plan) UnmarshalJSON(b []byte) error {
+	var w planJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	q, err := ParsePlan(w.Text)
+	if err != nil {
+		return err
+	}
+	q.Objects = max(q.Objects, w.Objects)
+	*p = q
+	return nil
 }
 
 // MustParsePlan is ParsePlan, panicking on error — for fixed litmus plans
